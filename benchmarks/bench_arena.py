@@ -35,13 +35,14 @@ two properties at N=64.
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+import gate
 
 from repro.experiments.arena import (
     ARENA_SEED,
@@ -145,89 +146,47 @@ def run_suite(smoke: bool = False) -> Dict:
 
 
 def check_regression(current: Dict, baseline: Dict) -> List[str]:
-    failures: List[str] = []
+    """Step-cost growth ceiling, run-to-run determinism, and — for a
+    baseline with the same seed and mix — the digest and step pins."""
     ratio = current["results"]["step_cost_ratio"]
-    if ratio["ratio"] > STEP_COST_CEILING:
-        failures.append(
-            f"per-step cost at N={ratio['n_large']} is {ratio['ratio']:.2f}x "
-            f"N={ratio['n_small']} (ceiling {STEP_COST_CEILING}x)"
-        )
-    for entry in current["results"]["by_n"].values():
+    failures = gate.at_most(
+        f"step cost N={ratio['n_large']} / N={ratio['n_small']}",
+        ratio["ratio"], STEP_COST_CEILING, "x",
+    )
+    by_n = current["results"]["by_n"]
+    for entry in by_n.values():
         if not entry["deterministic"]:
-            failures.append(
-                f"N={entry['n']}: digest varied across repetitions"
-            )
+            failures.append(f"N={entry['n']}: digest varied across repetitions")
+    if (current.get("seed"), current.get("mix")) != (baseline.get("seed"), baseline.get("mix")):
+        return failures
     base_by_n = baseline.get("results", {}).get("by_n", {})
-    if current.get("seed") == baseline.get("seed") and \
-            current.get("mix") == baseline.get("mix"):
-        for key, entry in current["results"]["by_n"].items():
-            base = base_by_n.get(key)
-            if base is None:
-                continue
-            if entry["digest"] != base["digest"]:
-                failures.append(
-                    f"N={entry['n']}: obs digest {entry['digest'][:16]}... "
-                    f"!= baseline {base['digest'][:16]}... "
-                    "(fixed-seed stream changed)"
-                )
-            if entry["steps"] != base["steps"]:
-                failures.append(
-                    f"N={entry['n']}: {entry['steps']} steps "
-                    f"!= baseline {base['steps']} (schedule changed)"
-                )
+    for key, entry in by_n.items():
+        base = base_by_n.get(key, {})
+        failures += gate.equal(f"N={key} obs digest", entry["digest"], base.get("digest"))
+        failures += gate.equal(f"N={key} steps", entry["steps"], base.get("steps"))
     return failures
 
 
-def delta_table(current: Dict, baseline: Dict) -> str:
-    rows = []
+def deltas(current: Dict, baseline: Dict) -> List[gate.Row]:
     base_by_n = baseline.get("results", {}).get("by_n", {})
-    for key, entry in sorted(
-        current["results"]["by_n"].items(), key=lambda kv: int(kv[0])
-    ):
+    rows: List[gate.Row] = []
+    for key, entry in sorted(current["results"]["by_n"].items(), key=lambda kv: int(kv[0])):
         base = base_by_n.get(key, {})
-        rows.append(
-            f"  N={entry['n']:>5}: {base.get('ns_per_step', '-'):>10} -> "
-            f"{entry['ns_per_step']:>10} ns/step   "
-            f"digest {'==' if entry['digest'] == base.get('digest') else '!='} baseline"
-        )
-    return "\n".join(rows)
+        rows.append((f"N={key} ns_per_step", base.get("ns_per_step"), entry["ns_per_step"], "ns"))
+        rows.append((f"N={key} digest", base.get("digest"), entry["digest"], ""))
+    return rows
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="stop the sweep at N=64")
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"result file (default {DEFAULT_OUTPUT})",
-    )
-    parser.add_argument(
-        "--check", type=Path, default=None, metavar="BASELINE",
-        help="gate step-cost growth and fixed-seed digests against a baseline JSON",
-    )
-    args = parser.parse_args(argv)
-
+    args = gate.parser(
+        __doc__, DEFAULT_OUTPUT, "stop the sweep at N=64",
+        "gate step-cost growth and fixed-seed digests against a baseline JSON",
+    ).parse_args(argv)
     current = run_suite(smoke=args.smoke)
     for key, entry in current["results"]["by_n"].items():
         print(f"N={key}: {json.dumps(entry)}")
     print(f"step_cost_ratio: {json.dumps(current['results']['step_cost_ratio'])}")
-
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_regression(current, baseline)
-        print("\nbaseline -> current:")
-        print(delta_table(current, baseline))
-        if args.output.resolve() != args.check.resolve():
-            args.output.write_text(json.dumps(current, indent=2) + "\n")
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print("regression check passed")
-        return 0
-
-    args.output.write_text(json.dumps(current, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0
+    return gate.finish(args, current, check_regression, deltas)
 
 
 # ----------------------------------------------------------------------
@@ -245,16 +204,7 @@ def test_arena_step_cost_scales():
 
 
 def test_arena_digest_matches_committed_baseline():
-    if not DEFAULT_OUTPUT.exists():
-        import pytest
-
-        pytest.skip("no committed BENCH_arena.json")
-    baseline = json.loads(DEFAULT_OUTPUT.read_text())
-    entry = baseline["results"]["by_n"].get("64")
-    if entry is None:
-        import pytest
-
-        pytest.skip("baseline has no N=64 entry")
+    entry = json.loads(DEFAULT_OUTPUT.read_text())["results"]["by_n"]["64"]
     _elapsed, steps, digest = _run_arena_timed(64)
     assert digest == entry["digest"], "fixed-seed obs stream changed at N=64"
     assert steps == entry["steps"], "arena schedule changed at N=64"

@@ -35,12 +35,13 @@ tests asserting the same properties on the linux22 residency cell.
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform as host_platform
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
+
+import gate
 
 from repro.experiments.channels import CHANNELS_SEED, run_channel
 
@@ -125,100 +126,58 @@ def run_suite(smoke: bool = False) -> Dict:
 
 
 def check_regression(current: Dict, baseline: Dict) -> List[str]:
+    """Determinism, quiet BER ceilings, the noise ladder, and — for a
+    baseline with the same seed and payload — digests and capacity floors."""
     failures: List[str] = []
     cells = current["results"]["cells"]
     for key, entry in cells.items():
         if not entry["deterministic"]:
             failures.append(f"{key}: digest varied across repetitions")
-        if entry["noise"] == 0.0 and entry["ber"] > QUIET_BER_CEILING:
-            failures.append(
-                f"{key}: quiet BER {entry['ber']:.4f} exceeds "
-                f"ceiling {QUIET_BER_CEILING}"
-            )
+        if entry["noise"] == 0.0:
+            failures += gate.at_most(f"{key} quiet BER", entry["ber"], QUIET_BER_CEILING)
     # Ladder sanity: noisy residency at least as lossy as quiet.
     for platform in PLATFORM_NAMES:
         quiet = cells.get(_cell_key("residency", platform, 0.0))
         noisy = cells.get(_cell_key("residency", platform, NOISY_LEVEL))
-        if quiet and noisy and noisy["ber"] < quiet["ber"]:
-            failures.append(
-                f"residency/{platform}: noise {NOISY_LEVEL} BER "
-                f"{noisy['ber']:.4f} below quiet BER {quiet['ber']:.4f} "
-                "(injector ladder stopped degrading the channel)"
+        if quiet and noisy:
+            failures += gate.at_least(
+                f"residency/{platform} noise {NOISY_LEVEL} BER vs quiet BER",
+                noisy["ber"], quiet["ber"],
             )
+    if (current.get("seed"), current.get("n_bits")) != (baseline.get("seed"), baseline.get("n_bits")):
+        return failures
     base_cells = baseline.get("results", {}).get("cells", {})
-    if current.get("seed") == baseline.get("seed") and \
-            current.get("n_bits") == baseline.get("n_bits"):
-        for key, entry in cells.items():
-            base = base_cells.get(key)
-            if base is None:
-                continue
-            if entry["digest"] != base["digest"]:
-                failures.append(
-                    f"{key}: obs digest {entry['digest'][:16]}... "
-                    f"!= baseline {base['digest'][:16]}... "
-                    "(fixed-seed stream changed)"
-                )
-            floor = base.get("floor_bits_per_s", 0.0)
-            if entry["bandwidth_bits_per_s"] < floor:
-                failures.append(
-                    f"{key}: bandwidth {entry['bandwidth_bits_per_s']:.1f} "
-                    f"bits/s below committed floor {floor:.1f}"
-                )
+    for key, entry in cells.items():
+        base = base_cells.get(key, {})
+        failures += gate.equal(f"{key} obs digest", entry["digest"], base.get("digest"))
+        failures += gate.at_least(
+            f"{key} bandwidth", entry["bandwidth_bits_per_s"],
+            base.get("floor_bits_per_s", 0.0), " bits/s",
+        )
     return failures
 
 
-def delta_table(current: Dict, baseline: Dict) -> str:
-    rows = []
+def deltas(current: Dict, baseline: Dict) -> List[gate.Row]:
     base_cells = baseline.get("results", {}).get("cells", {})
+    rows: List[gate.Row] = []
     for key, entry in sorted(current["results"]["cells"].items()):
         base = base_cells.get(key, {})
-        rows.append(
-            f"  {key:>30}: "
-            f"{base.get('bandwidth_bits_per_s', '-'):>9} -> "
-            f"{entry['bandwidth_bits_per_s']:>9} bits/s  "
-            f"BER {entry['ber']:.4f}  "
-            f"digest {'==' if entry['digest'] == base.get('digest') else '!='}"
-            " baseline"
-        )
-    return "\n".join(rows)
+        rows.append((f"{key} bits/s", base.get("bandwidth_bits_per_s"),
+                     entry["bandwidth_bits_per_s"], ""))
+        rows.append((f"{key} BER", base.get("ber"), entry["ber"], ""))
+        rows.append((f"{key} digest", base.get("digest"), entry["digest"], ""))
+    return rows
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true", help="linux22 column only"
-    )
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"result file (default {DEFAULT_OUTPUT})",
-    )
-    parser.add_argument(
-        "--check", type=Path, default=None, metavar="BASELINE",
-        help="gate BER ceilings, capacity floors, and digests against a baseline",
-    )
-    args = parser.parse_args(argv)
-
+    args = gate.parser(
+        __doc__, DEFAULT_OUTPUT, "linux22 column only",
+        "gate BER ceilings, capacity floors, and digests against a baseline",
+    ).parse_args(argv)
     current = run_suite(smoke=args.smoke)
     for key, entry in sorted(current["results"]["cells"].items()):
         print(f"{key}: {json.dumps(entry)}")
-
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_regression(current, baseline)
-        print("\nbaseline -> current:")
-        print(delta_table(current, baseline))
-        if args.output.resolve() != args.check.resolve():
-            args.output.write_text(json.dumps(current, indent=2) + "\n")
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print("regression check passed")
-        return 0
-
-    args.output.write_text(json.dumps(current, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0
+    return gate.finish(args, current, check_regression, deltas)
 
 
 # ----------------------------------------------------------------------
@@ -232,21 +191,10 @@ def test_quiet_residency_cell_is_clean_and_deterministic():
 
 
 def test_channel_digests_match_committed_baseline():
-    if not DEFAULT_OUTPUT.exists():
-        import pytest
-
-        pytest.skip("no committed BENCH_channels.json")
-    baseline = json.loads(DEFAULT_OUTPUT.read_text())
     key = _cell_key("residency", "linux22", 0.0)
-    base = baseline["results"]["cells"].get(key)
-    if base is None:
-        import pytest
-
-        pytest.skip(f"baseline has no {key} cell")
+    base = json.loads(DEFAULT_OUTPUT.read_text())["results"]["cells"][key]
     entry = bench_cell("residency", "linux22", 0.0)
-    assert entry["digest"] == base["digest"], (
-        "fixed-seed covert-channel obs stream changed"
-    )
+    assert entry["digest"] == base["digest"], "fixed-seed covert-channel obs stream changed"
     assert entry["bandwidth_bits_per_s"] >= base["floor_bits_per_s"]
 
 

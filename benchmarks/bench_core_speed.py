@@ -38,13 +38,14 @@ headline target: ≥3× pread-probe throughput on the batched path.
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
+
+import gate
 
 from repro.icl.fccd import FCCD
 from repro.sim import Kernel, MachineConfig, PLATFORMS
@@ -383,9 +384,9 @@ def bench_fig2_scan(size_mb: int, prediction_unit: int) -> Dict:
 # ----------------------------------------------------------------------
 # Suite driver
 # ----------------------------------------------------------------------
-def run_suite(smoke: bool = False) -> Dict:
+def _params(smoke: bool) -> Dict[str, Dict]:
     if smoke:
-        params = dict(
+        return dict(
             pread=dict(n_probes=4_000, batch_size=256),
             touch=dict(n_pages=4_000, rounds=1, batch_size=256),
             stat=dict(n_files=200, rounds=4, batch_size=100),
@@ -393,15 +394,18 @@ def run_suite(smoke: bool = False) -> Dict:
             platform_steps=dict(n_steps=20_000),
             fig2=dict(size_mb=16, prediction_unit=64 * KIB),
         )
-    else:
-        params = dict(
-            pread=dict(n_probes=40_000, batch_size=256),
-            touch=dict(n_pages=8_000, rounds=5, batch_size=256),
-            stat=dict(n_files=500, rounds=16, batch_size=250),
-            steps=dict(n_steps=200_000),
-            platform_steps=dict(n_steps=100_000),
-            fig2=dict(size_mb=48, prediction_unit=16 * KIB),
-        )
+    return dict(
+        pread=dict(n_probes=40_000, batch_size=256),
+        touch=dict(n_pages=8_000, rounds=5, batch_size=256),
+        stat=dict(n_files=500, rounds=16, batch_size=250),
+        steps=dict(n_steps=200_000),
+        platform_steps=dict(n_steps=100_000),
+        fig2=dict(size_mb=48, prediction_unit=16 * KIB),
+    )
+
+
+def run_suite(smoke: bool = False) -> Dict:
+    params = _params(smoke)
     return {
         "schema": 1,
         "smoke": smoke,
@@ -431,20 +435,7 @@ def run_profile_pass(smoke: bool = False) -> Dict:
     """
     from repro.obs.profile import PROFILER
 
-    if smoke:
-        params = dict(
-            pread=dict(n_probes=4_000, batch_size=256),
-            touch=dict(n_pages=4_000, rounds=1, batch_size=256),
-            stat=dict(n_files=200, rounds=4, batch_size=100),
-            fig2=dict(size_mb=16, prediction_unit=64 * KIB),
-        )
-    else:
-        params = dict(
-            pread=dict(n_probes=40_000, batch_size=256),
-            touch=dict(n_pages=8_000, rounds=5, batch_size=256),
-            stat=dict(n_files=500, rounds=16, batch_size=250),
-            fig2=dict(size_mb=48, prediction_unit=16 * KIB),
-        )
+    params = _params(smoke)
     PROFILER.clear()
     PROFILER.enable()
     try:
@@ -461,90 +452,68 @@ def run_profile_pass(smoke: bool = False) -> Dict:
 
 
 def check_regression(current: Dict, baseline: Dict) -> List[str]:
-    """Speedup-ratio gate; returns a list of failure messages."""
-    failures = []
-    same_mode = current.get("smoke") == baseline.get("smoke")
+    """Speedup floors and ratchets, step-rate ratchets, fig2 equality,
+    and (when a profiled pass is attached) the profile share ceiling."""
+    results = current.get("results", {})
+    base_results = baseline.get("results", {})
+    comparable = gate.same_mode(current, baseline)
+    failures: List[str] = []
     # Absolute floors apply to every keyed speedup, gated or not (fig2
     # carries a floor without joining the ratio ratchet).
-    for key, floor_abs in SPEEDUP_FLOORS.items():
-        cur = current.get("results", {}).get(key)
-        if cur and cur["speedup"] < floor_abs:
-            failures.append(
-                f"{key}: speedup {cur['speedup']:.2f}x fell below the "
-                f"absolute floor {floor_abs:.2f}x"
-            )
+    for key, floor in SPEEDUP_FLOORS.items():
+        if key in results:
+            failures += gate.at_least(f"{key}.speedup", results[key]["speedup"], floor, "x")
     for key in GATED_KEYS:
-        cur = current.get("results", {}).get(key)
+        cur = results.get(key)
         if not cur or cur["speedup"] < SPEEDUP_FLOORS.get(key, 0.0):
             continue  # missing, or already failed the absolute floor
-        base = baseline.get("results", {}).get(key)
-        if not base or not same_mode:
-            continue
-        floor = base["speedup"] * REGRESSION_FLOOR
-        if cur["speedup"] < floor:
-            failures.append(
-                f"{key}: speedup {cur['speedup']:.2f}x fell below "
-                f"{floor:.2f}x (80% of baseline {base['speedup']:.2f}x)"
-            )
+        failures += gate.ratchet(
+            f"{key}.speedup", cur["speedup"],
+            (base_results.get(key) or {}).get("speedup"),
+            REGRESSION_FLOOR, comparable, "x",
+        )
     # Absolute step rates are only comparable between equally-sized runs:
     # the smoke loop retires far fewer syscalls, so its cold-miss fraction
-    # (and thus steps/s) differs systematically from a full run.
-    base_steps = baseline.get("results", {}).get("kernel_step_rate_by_platform") or {}
-    cur_steps = current.get("results", {}).get("kernel_step_rate_by_platform") or {}
-    if not same_mode:
-        base_steps = {}
-    for name, base in base_steps.items():
-        cur = cur_steps.get(name)
-        if not cur:
-            failures.append(f"kernel_step_rate_by_platform: no fresh entry for {name}")
-            continue
-        floor = base["steps_per_s"] * STEP_RATE_FLOOR
-        if cur["steps_per_s"] < floor:
-            failures.append(
-                f"kernel_step_rate_by_platform[{name}]: {cur['steps_per_s']:.0f} "
-                f"steps/s fell below {floor:.0f} "
-                f"(90% of baseline {base['steps_per_s']:.0f})"
-            )
-    fig2 = current.get("results", {}).get("fig2_scan", {})
-    if fig2 and not fig2.get("simulated_ns_equal", True):
+    # (and thus steps/s) differs systematically from a full run.  A
+    # platform missing from the fresh run counts as 0 steps/s.
+    cur_steps = results.get("kernel_step_rate_by_platform") or {}
+    for name, base in (base_results.get("kernel_step_rate_by_platform") or {}).items():
+        failures += gate.ratchet(
+            f"step_rate[{name}]", (cur_steps.get(name) or {}).get("steps_per_s", 0.0),
+            base["steps_per_s"], STEP_RATE_FLOOR, comparable, "/s",
+        )
+    if not results.get("fig2_scan", {}).get("simulated_ns_equal", True):
         failures.append("fig2_scan: batched simulated time diverged from sequential")
-    return failures
+    return failures + check_profile_shares(current.get("profile", {}))
 
 
 def check_profile_shares(profile: Dict) -> List[str]:
     """No single ``syscall.*`` section may dominate the profiled pass."""
-    failures = []
+    failures: List[str] = []
     for row in profile.get("top_sections", []):
-        section = row.get("section", "")
         # Dotted subsections (``touch_batch.fault`` …) nest *inside*
         # their syscall's section time; gating them too would double
         # count.  Only top-level syscall sections are shares of the
         # dispatch loop.
-        if section.startswith("syscall.") and row.get("share", 0.0) > PROFILE_SHARE_CEILING:
-            failures.append(
-                f"profile: {section} holds {row['share']:.1%} of profiled "
-                f"host time (ceiling {PROFILE_SHARE_CEILING:.0%})"
+        if row.get("section", "").startswith("syscall."):
+            failures += gate.at_most(
+                f"profile share of {row['section']}", row["share"], PROFILE_SHARE_CEILING
             )
     return failures
 
 
-def delta_table(current: Dict, baseline: Dict) -> str:
-    """Per-metric old→new table for the --check report.
-
-    Covers every scalar the gates look at: the four speedups, the
-    solo-loop step rate, and the per-platform step rates.  Percentages
-    are informational — cross-mode runs (smoke vs full baseline) still
-    print, they just aren't comparable one-for-one.
-    """
-    rows: List[tuple] = []
-
+def deltas(current: Dict, baseline: Dict) -> List[gate.Row]:
+    """Every scalar the gates look at: the four speedups, the solo-loop
+    step rate, and the per-platform step rates."""
     def pick(tree: Dict, key: str, field: str):
         entry = tree.get("results", {}).get(key)
         return entry.get(field) if isinstance(entry, dict) else None
 
-    for key in (*GATED_KEYS, "fig2_scan"):
-        rows.append((f"{key}.speedup", pick(baseline, key, "speedup"),
-                     pick(current, key, "speedup"), "x"))
+    rows: List[gate.Row] = [
+        (f"{key}.speedup", pick(baseline, key, "speedup"),
+         pick(current, key, "speedup"), "x")
+        for key in (*GATED_KEYS, "fig2_scan")
+    ]
     rows.append(("kernel_step_rate.steps_per_s",
                  pick(baseline, "kernel_step_rate", "steps_per_s"),
                  pick(current, "kernel_step_rate", "steps_per_s"), "/s"))
@@ -554,43 +523,19 @@ def delta_table(current: Dict, baseline: Dict) -> str:
         rows.append((f"step_rate[{name}]",
                      (base_steps.get(name) or {}).get("steps_per_s"),
                      (cur_steps.get(name) or {}).get("steps_per_s"), "/s"))
-
-    def fmt(value, unit: str) -> str:
-        if value is None:
-            return "-"
-        return f"{value:,.2f}x" if unit == "x" else f"{value:,.0f}{unit}"
-
-    lines = [
-        f"{'metric':<34} {'baseline':>12} {'current':>12} {'change':>8}",
-        f"{'-' * 34} {'-' * 12} {'-' * 12} {'-' * 8}",
-    ]
-    for label, old, new, unit in rows:
-        if old and new:
-            change = f"{(new / old - 1.0):+.1%}"
-        else:
-            change = "-"
-        lines.append(
-            f"{label:<34} {fmt(old, unit):>12} {fmt(new, unit):>12} {change:>8}"
-        )
-    return "\n".join(lines)
+    return rows
 
 
-def main(argv: List[str] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="small, fast sizes")
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"result file (default {DEFAULT_OUTPUT})",
+def main(argv: Optional[List[str]] = None) -> int:
+    cli = gate.parser(
+        __doc__, DEFAULT_OUTPUT, "small, fast sizes",
+        "compare speedups against a baseline JSON; exit 1 on >20%% regression",
     )
-    parser.add_argument(
-        "--check", type=Path, default=None, metavar="BASELINE",
-        help="compare speedups against a baseline JSON; exit 1 on >20%% regression",
-    )
-    parser.add_argument(
+    cli.add_argument(
         "--profile", action="store_true",
         help="add a separate profiled pass; hot-path table lands in the artifact",
     )
-    args = parser.parse_args(argv)
+    args = cli.parse_args(argv)
 
     current = run_suite(smoke=args.smoke)
     for key, entry in current["results"].items():
@@ -600,30 +545,7 @@ def main(argv: List[str] = None) -> int:
         current["profile"] = run_profile_pass(smoke=args.smoke)
         print("\nhost-time hot paths (profiled pass, not gated):")
         print(current["profile"]["table"])
-
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_regression(current, baseline)
-        if "profile" in current:
-            failures.extend(check_profile_shares(current["profile"]))
-        print("\nbaseline -> current deltas:")
-        print(delta_table(current, baseline))
-        # The gate run must not clobber the committed baseline.  Compare
-        # resolved paths: the default output is absolute while --check is
-        # usually given relative, and a naive != would treat them as
-        # different files and silently overwrite the baseline.
-        if args.output.resolve() != args.check.resolve():
-            args.output.write_text(json.dumps(current, indent=2) + "\n")
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print("regression check passed")
-        return 0
-
-    args.output.write_text(json.dumps(current, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0
+    return gate.finish(args, current, check_regression, deltas)
 
 
 # ----------------------------------------------------------------------

@@ -81,6 +81,13 @@ class Observability:
         # same process — the common schedule — skip the outer lookup.
         self._ledger_pid: Optional[int] = None
         self._ledger: Dict[str, int] = {}
+        #: Opt-in strace: when set, the kernel emits one ``kernel.syscall``
+        #: event per completed or failed call, carrying ``syscall``,
+        #: ``args``, ``start_ns`` (of the first attempt, so a call that
+        #: blocked shows its whole wait), ``elapsed_ns`` and, for a
+        #: failure, ``error`` (the errno name).  Off by default: the
+        #: records are the one part of the stream that grows per call.
+        self.syscall_records = False
         if enabled and _ACTIVE_CAPTURE is not None:
             _ACTIVE_CAPTURE.attach(self)
 

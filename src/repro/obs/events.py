@@ -1,7 +1,6 @@
 """Structured events and nestable spans on the simulated clock.
 
-An :class:`EventStream` is a bounded ring (like
-:class:`~repro.sim.trace.SyscallTrace`) of plain-dict records, each
+An :class:`EventStream` is a bounded ring of plain-dict records, each
 stamped with *simulated* time so ICL-side activity and kernel-side
 activity land on one timeline:
 

@@ -51,6 +51,14 @@ from typing import Dict, List, Optional
 
 __all__ = ["Section", "Profiler", "PROFILER"]
 
+#: Layer prefixes of the top-level sections.  Any other dotted name
+#: (``stat_batch.walk``) is a drill-down nested inside its parent.
+TOP_LEVEL_PREFIXES = ("syscall.", "sched.", "proc.", "icl.")
+
+
+def _is_top_level(name: str) -> bool:
+    return name.startswith(TOP_LEVEL_PREFIXES) or "." not in name
+
 
 class Section:
     """One named accumulator: call count and total host nanoseconds.
@@ -129,7 +137,11 @@ class Profiler:
 
     # -- reporting -----------------------------------------------------
     def rows(self, top: Optional[int] = None) -> List[Dict[str, object]]:
-        """Sections as plain dicts, largest total first (JSON-ready)."""
+        """Sections as plain dicts, largest total first (JSON-ready).
+
+        ``share`` is a fraction of the top-level total: top-level rows
+        sum to 1, a drill-down reads as its slice of the same time.
+        """
         ordered = sorted(
             (s for s in self._sections.values() if s.calls),
             key=lambda s: s.total_ns,
@@ -137,7 +149,9 @@ class Profiler:
         )
         if top is not None:
             ordered = ordered[:top]
-        total = sum(s.total_ns for s in self._sections.values()) or 1
+        total = sum(
+            s.total_ns for s in self._sections.values() if _is_top_level(s.name)
+        ) or 1
         return [
             {
                 "section": s.name,

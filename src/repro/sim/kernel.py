@@ -183,6 +183,8 @@ class Kernel:
         # The dispatch loop does one dict get per syscall; bind the
         # table's live mapping once.
         self._handlers: Dict[str, Callable] = self.syscalls.mapping()
+        # pid -> first-attempt clock of a blocked call (syscall records).
+        self._first_attempt_ns: Dict[int, int] = {}
 
         self.oracle = Oracle(self)
 
@@ -230,54 +232,21 @@ class Kernel:
         return self.procs.share_pipe_end(process, pipe, kind)
 
     def run(self, max_steps: Optional[int] = None) -> None:
-        """Run until every process finishes (or ``max_steps`` syscalls).
-
-        The common single-process case stays on the scheduler's
-        fast slot (no heap traffic); bound methods are hoisted out of
-        the loop because this is the simulator's hottest few lines.
-        """
-        next_ready = self.scheduler.next_ready
-        advance_to = self.clock.advance_to
-        step = self._step
-        profiler = PROFILER
-        steps = 0
-        try:
-            while True:
-                if profiler.enabled:
-                    _t0 = perf_counter_ns()
-                    process = next_ready()
-                    profiler.add("sched.next_ready", perf_counter_ns() - _t0)
-                else:
-                    process = next_ready()
-                if process is None:
-                    blocked = self.scheduler.blocked()
-                    if blocked:
-                        names = ", ".join(p.name for p in blocked)
-                        raise RuntimeError(
-                            f"deadlock: blocked processes remain: {names}"
-                        )
-                    return
-                advance_to(process.ready_at)
-                step(process)
-                steps += 1
-                if max_steps is not None and steps >= max_steps:
-                    raise RuntimeError(f"exceeded max_steps={max_steps}")
-        finally:
-            # Attribution ends with the dispatch loop: host-side records
-            # emitted after run() must not inherit the last pid.
-            self.obs.set_pid(None)
+        """Run until every process finishes (or ``max_steps`` syscalls)."""
+        self.run_until_blocked(max_steps)
+        blocked = self.scheduler.blocked()
+        if blocked:
+            names = ", ".join(p.name for p in blocked)
+            raise RuntimeError(f"deadlock: blocked processes remain: {names}")
 
     def run_until_blocked(self, max_steps: Optional[int] = None) -> int:
         """Dispatch until no process is READY; returns syscalls executed.
 
-        The arena's slice primitive (:mod:`repro.sim.arena`): between
-        grants every client is BLOCKED on ``arena_park``, which
-        :meth:`run` would report as a deadlock.  Here remaining blocked
-        processes are the *expected* end state of a slice — the caller,
-        which knows which blocks are deliberate parks, owns deadlock
-        detection.  Dispatch itself is identical to :meth:`run`, so
-        anything a slice wakes (children, pipe peers) proceeds by
-        simulated readiness exactly as it would there.
+        The one dispatch loop, also the arena's slice primitive
+        (:mod:`repro.sim.arena`): between grants every client is BLOCKED
+        on ``arena_park``, so blocked processes left over are for the
+        caller to judge — :meth:`run` calls them a deadlock.  Bound
+        methods are hoisted: these are the simulator's hottest lines.
         """
         next_ready = self.scheduler.next_ready
         advance_to = self.clock.advance_to
@@ -300,6 +269,8 @@ class Kernel:
                 if max_steps is not None and steps >= max_steps:
                     raise RuntimeError(f"exceeded max_steps={max_steps}")
         finally:
+            # Attribution ends with the dispatch loop: host-side records
+            # emitted after it must not inherit the last pid.
             self.obs.set_pid(None)
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
@@ -355,6 +326,7 @@ class Kernel:
             # Before dispatch, not after: a handler that errors out
             # midway may still have mutated inode fields.
             self.vfs.stat_epoch += 1
+        obs = self.obs
         start = self.clock.now
         process.stats.syscalls += 1
         try:
@@ -366,21 +338,37 @@ class Kernel:
                 outcome = handler(process, *syscall.args)
         except SimOSError as err:
             # Deliver the failure into the process after the base overhead.
-            self.obs.record_syscall_error(syscall.name)
+            obs.record_syscall_error(syscall.name)
+            overhead = self.config.syscall_overhead_ns
+            if obs.syscall_records:
+                self._record_syscall(process, syscall, start, overhead, error=err.errno_name)
             process.pending_exception = err
             process.retry_syscall = None
-            self.scheduler.make_ready(process, start + self.config.syscall_overhead_ns)
+            self.scheduler.make_ready(process, start + overhead)
             return
         if outcome is BLOCK:
+            if obs.syscall_records:  # one record per call, not per attempt
+                self._first_attempt_ns.setdefault(process.pid, start)
             process.retry_syscall = syscall
             self.scheduler.block(process)
             return
         value, duration = outcome
-        self.obs.record_syscall(syscall.name, duration)
+        obs.record_syscall(syscall.name, duration)
+        if obs.syscall_records:
+            self._record_syscall(process, syscall, start, duration)
         finish = start + duration
         process.pending_value = SyscallResult(value, finish - start, start, finish)
         process.retry_syscall = None
         self.scheduler.make_ready(process, finish)
+
+    def _record_syscall(self, process: Process, syscall: Syscall, start: int,
+                        elapsed: int, **error: str) -> None:
+        """Emit the opt-in ``kernel.syscall`` record of one finished call."""
+        self.obs.event(
+            "kernel.syscall", syscall=syscall.name, args=syscall.args,
+            start_ns=self._first_attempt_ns.pop(process.pid, start),
+            elapsed_ns=elapsed, **error,
+        )
 
     def _exit_process(self, process: Process, result: Any) -> None:
         process.result = result

@@ -2,15 +2,21 @@
 kernel/ICL integration the layer exists for (joining inference-phase
 spans against kernel activity on one simulated timeline)."""
 
+import json
+import random
+
 import pytest
 
 from repro.experiments.observe import observe_config, observe_figure
 from repro.experiments.runner import TrialSpec, configuration, drain_stats, run_trials
 from repro.obs import DISABLED, Observability, capture_metrics, merge_samples
+from repro.icl.fccd import FCCD
 from repro.obs.events import EventStream
+from repro.obs.export import main as export_main
 from repro.obs.export import (
     read_jsonl,
     run_stats_records,
+    stream_digest,
     summarize_events,
     summarize_metrics,
     validate_jsonl,
@@ -19,6 +25,7 @@ from repro.obs.export import (
 from repro.obs.metrics import Histogram, MetricsRegistry, SnapshotStats
 from repro.sim import Kernel, MachineConfig
 from repro.sim import syscalls as sc
+from repro.sim.errors import FileNotFound
 from repro.toolbox.timers import Stopwatch
 from repro.workloads.files import make_file
 
@@ -382,6 +389,204 @@ class TestKernelIntegration:
             names = {r["name"] for r in kernel.obs.events.spans()}
             assert expected in names, (batch, names)
             assert absent not in names, (batch, names)
+
+
+# ======================================================================
+# Syscall records (the opt-in strace on the obs stream)
+# ======================================================================
+def recording(kernel):
+    kernel.obs.syscall_records = True
+    return kernel
+
+
+def records(kernel, pid=None):
+    """Attrs of every ``kernel.syscall`` record (or one pid's), in order."""
+    return [r["attrs"] for r in kernel.obs.events.by_name("kernel.syscall")
+            if pid is None or r["pid"] == pid]
+
+
+def names(kernel, pid=None):
+    return [r["syscall"] for r in records(kernel, pid)]
+
+
+def issue(*syscalls):
+    for syscall in syscalls:
+        yield syscall
+
+
+def pipe_pair(kernel, writer, reader):
+    """Run ``writer`` and ``reader`` on the two ends of one pipe."""
+    pipe = recording(kernel).make_pipe()
+    w = kernel.spawn_with_pipe_ends(writer, [(pipe, "pipe_w")], "w")
+    r = kernel.spawn_with_pipe_ends(reader, [(pipe, "pipe_r")], "r")
+    kernel.run()
+    return w, r
+
+
+class TestSyscallRecords:
+    def test_records_syscalls_in_order(self, kernel):
+        def app():
+            fd = (yield sc.create("/mnt0/f")).value
+            yield sc.write(fd, 100)
+            yield sc.close(fd)
+        recording(kernel).run_process(app(), "writer")
+        assert names(kernel) == ["create", "write", "close"]
+
+    def test_records_carry_process_identity_and_timing(self, kernel):
+        proc = recording(kernel).spawn(issue(sc.sleep(5_000)), "sleeper")
+        kernel.run()
+        assert records(kernel, proc.pid) == [
+            {"syscall": "sleep", "args": (5_000,), "start_ns": 0, "elapsed_ns": 5_000},
+        ]
+
+    def test_counts_and_totals(self, kernel):
+        recording(kernel).run_process(issue(*[sc.sleep(1_000)] * 3, sc.gettime()), "app")
+        assert names(kernel) == ["sleep"] * 3 + ["gettime"]
+        assert sum(r["elapsed_ns"] for r in records(kernel)[:3]) == 3_000
+
+    def test_records_attributed_per_process(self, kernel):
+        a = recording(kernel).spawn(issue(sc.sleep(10)), "a")
+        b = kernel.spawn(issue(sc.sleep(10)), "b")
+        kernel.run()
+        assert names(kernel, a.pid) == names(kernel, b.pid) == ["sleep"]
+
+    def test_event_capacity_bounds_records(self, config):
+        kernel = recording(Kernel(config, event_capacity=5))
+        kernel.run_process(issue(*[sc.gettime()] * 20), "app")
+        # The ring keeps the newest records: the last gettimes and the exit.
+        assert [r["name"] for r in kernel.obs.events] == ["kernel.syscall"] * 4 + ["kernel.exit"]
+
+    def test_bad_event_capacity_rejected(self, config):
+        with pytest.raises(ValueError):
+            Kernel(config, event_capacity=0)
+
+    def test_clearing_flag_stops_recording(self, kernel):
+        recording(kernel).obs.syscall_records = False
+        kernel.run_process(issue(sc.sleep(1)), "app")
+        assert records(kernel) == []
+
+    def test_records_off_by_default_and_purely_additive(self, config):
+        def dump(kernel):
+            kernel.run_process(make_file("/mnt0/d.dat", 256 * KIB), "w")
+            kernel.run_process(sequential_read("/mnt0/d.dat"), "r")
+            return list(kernel.obs.dump_records())
+
+        off = dump(Kernel(config))
+        on = dump(recording(Kernel(config)))
+        assert not any(r.get("name") == "kernel.syscall" for r in off)
+        stripped = [r for r in on if r.get("name") != "kernel.syscall"]
+        assert len(stripped) < len(on)
+        assert stream_digest(stripped) == stream_digest(off)
+
+    def test_errored_open_recorded_with_error(self, kernel):
+        def app():
+            try:
+                yield sc.open("/mnt0/ghost")
+            except FileNotFound:
+                pass
+            yield sc.sleep(1)
+        recording(kernel).run_process(app(), "app")
+        opened, slept = records(kernel)
+        assert opened["syscall"] == "open" and opened["error"] == "ENOENT"
+        assert opened["elapsed_ns"] == kernel.config.syscall_overhead_ns
+        assert slept["syscall"] == "sleep" and "error" not in slept
+
+    def test_fccd_probe_pattern_is_visible(self, kernel):
+        """The records show FCCD issuing one sorted pread per window."""
+        kernel.run_process(make_file("/mnt0/f", 8 * MIB), "setup")
+        fccd = FCCD(
+            rng=random.Random(1),
+            access_unit_bytes=4 * MIB,
+            prediction_unit_bytes=1 * MIB,
+            batch_probes=False,  # per-probe records are the point here
+        )
+
+        def app():
+            return (yield from fccd.plan_file("/mnt0/f"))
+        recording(kernel).run_process(app(), "prober")
+        offsets = [r["args"][1] for r in records(kernel)
+                   if r["syscall"] == "pread" and r["args"][2] == 1]
+        assert len(offsets) == 8  # 8 MiB / 1 MiB prediction units
+        assert offsets == sorted(offsets)
+
+    def test_dump_validates_and_converts_to_chrome_trace(self, kernel, tmp_path):
+        recording(kernel).run_process(make_file("/mnt0/v.dat", 64 * KIB), "w")
+        dump, trace = tmp_path / "records.jsonl", tmp_path / "records.trace.json"
+        write_jsonl(dump, kernel.obs.dump_records())
+        assert export_main(["export", "--validate", str(dump)]) == 0
+        assert export_main(["export", "--chrome-trace", str(trace), str(dump)]) == 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert any(e["name"] == "kernel.syscall" for e in events)
+
+
+class TestBlockingSyscallsRecordedOnce:
+    """A syscall that blocks is re-executed by the kernel on every
+    wakeup; it must still yield one record, not one per attempt."""
+
+    def test_blocking_pipe_read_appears_exactly_once(self, kernel):
+        def reader(r_fd):
+            result = (yield sc.read(r_fd, 100)).value
+            yield sc.close(r_fd)
+            return result.nbytes
+
+        # The writer sleeps first so the reader blocks.
+        _, cons = pipe_pair(kernel, lambda w: issue(
+            sc.sleep(2_000_000), sc.write(w, 100), sc.close(w)), reader)
+        assert cons.result == 100
+        assert names(kernel, cons.pid) == ["read", "close"]
+
+    def test_blocked_read_start_ns_is_first_attempt(self, kernel):
+        _, cons = pipe_pair(
+            kernel,
+            lambda w: issue(sc.sleep(5_000_000), sc.write(w, 10), sc.close(w)),
+            lambda r: issue(sc.read(r, 10), sc.close(r)),
+        )
+        (read,) = [e for e in kernel.obs.events.by_name("kernel.syscall")
+                   if e["pid"] == cons.pid and e["attrs"]["syscall"] == "read"]
+        # Attempted at once, completed only after the writer's 5 ms
+        # sleep: start_ns keeps the blocked interval visible.
+        assert read["attrs"]["start_ns"] < 5_000_000 <= read["t_ns"]
+
+    def test_blocking_waitpid_appears_exactly_once(self, kernel):
+        def child():
+            yield sc.sleep(3_000_000)
+            return "done"
+
+        def parent():
+            pid = (yield sc.spawn(child(), "child")).value
+            return (yield sc.waitpid(pid)).value
+
+        assert recording(kernel).run_process(parent(), "parent") == "done"
+        assert names(kernel).count("waitpid") == 1
+
+    def test_contended_pipe_traffic_counts_completed_calls(self, kernel):
+        """Producer/consumer with capacity stalls on both sides: one
+        record per *completed* call, however often either side blocked."""
+        from repro.sim.proc.process import PipeBuffer
+
+        total = PipeBuffer.CAPACITY * 3
+        calls = {"write": 0, "read": 0}
+
+        def producer(w_fd):
+            sent = 0
+            while sent < total:
+                calls["write"] += 1
+                sent += (yield sc.write(w_fd, total - sent)).value
+            yield sc.close(w_fd)
+            return sent
+
+        def consumer(r_fd):
+            yield sc.sleep(10_000_000)
+            while True:
+                calls["read"] += 1
+                if (yield sc.read(r_fd, PipeBuffer.CAPACITY)).value.eof:
+                    break
+            yield sc.close(r_fd)
+
+        prod, cons = pipe_pair(kernel, producer, consumer)
+        assert prod.result == total
+        assert names(kernel, prod.pid).count("write") == calls["write"]
+        assert names(kernel, cons.pid).count("read") == calls["read"]
 
 
 # ======================================================================

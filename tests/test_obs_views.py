@@ -278,6 +278,19 @@ def test_profiler_accumulates_and_ranks():
     assert "slow" in report and "fast" not in report
 
 
+def test_profiler_shares_exclude_nested_drill_downs():
+    # stat_batch.walk runs inside syscall.stat_batch; counting it in the
+    # denominator would deflate every share.
+    prof = Profiler().enable()
+    prof.add("syscall.stat_batch", 600)
+    prof.add("proc.advance", 400)
+    prof.add("stat_batch.walk", 500)
+    shares = {r["section"]: r["share"] for r in prof.rows()}
+    assert shares["syscall.stat_batch"] + shares["proc.advance"] == 1.0
+    assert shares["syscall.stat_batch"] == 0.6
+    assert shares["stat_batch.walk"] == 0.5
+
+
 def test_profiler_reset_and_clear():
     prof = Profiler().enable()
     prof.add("a", 5)
