@@ -59,28 +59,34 @@ class CylinderGroup:
         # *behind* the rotor while their recycled i-numbers are the
         # *lowest* free ones (Figure 6's degradation).
         self.rotor = 0
-        # Lowest-free-first inode slots (lazy heap + membership set).
-        self._free_inode_heap: List[int] = list(range(inodes_per_cg))
-        self._free_inode_set: Set[int] = set(self._free_inode_heap)
+        # Lowest-free-first inode slots: every slot at or above the
+        # high-water mark is free; slots freed below it are recycled
+        # through a min-heap (plus a set for the double-free check).
+        self._next_slot = 0
+        self._recycled_heap: List[int] = []
+        self._recycled: Set[int] = set()
 
     # --- inodes -------------------------------------------------------
     @property
     def free_inode_count(self) -> int:
-        return len(self._free_inode_set)
+        return len(self._recycled) + self.inodes_per_cg - self._next_slot
 
     def alloc_inode_slot(self) -> Optional[int]:
-        while self._free_inode_heap:
-            slot = heapq.heappop(self._free_inode_heap)
-            if slot in self._free_inode_set:
-                self._free_inode_set.remove(slot)
-                return slot
+        if self._recycled_heap:
+            slot = heapq.heappop(self._recycled_heap)
+            self._recycled.remove(slot)
+            return slot
+        if self._next_slot < self.inodes_per_cg:
+            slot = self._next_slot
+            self._next_slot += 1
+            return slot
         return None
 
     def free_inode_slot(self, slot: int) -> None:
-        if slot in self._free_inode_set:
-            raise InvalidArgument(f"double free of inode slot {slot} in cg {self.index}")
-        self._free_inode_set.add(slot)
-        heapq.heappush(self._free_inode_heap, slot)
+        if slot in self._recycled or not 0 <= slot < self._next_slot:
+            raise InvalidArgument(f"free of unallocated inode slot {slot} in cg {self.index}")
+        self._recycled.add(slot)
+        heapq.heappush(self._recycled_heap, slot)
 
     # --- blocks -------------------------------------------------------
     def alloc_run(self, want: int, hint: Optional[int] = None) -> List[int]:
@@ -163,10 +169,13 @@ class FFS:
             )
             first += blocks_per_cg
             index += 1
+        # Running sum of every group's free_block_count, kept by the
+        # allocation paths so the NoSpace precheck is O(1).
+        self._free_blocks = sum(cg.free_block_count for cg in self.groups)
         self.inodes: Dict[int, Inode] = {}
         self.directories: Dict[int, Directory] = {}
         # Reserve global ino 0 as invalid, like real FFS.
-        self.groups[0]._free_inode_set.discard(0)
+        self.groups[0]._next_slot = 1
         self._make_root()
 
     # ------------------------------------------------------------------
@@ -201,7 +210,7 @@ class FFS:
         return self.directories[ROOT_INO]
 
     def free_blocks_total(self) -> int:
-        return sum(cg.free_block_count for cg in self.groups)
+        return self._free_blocks
 
     # ------------------------------------------------------------------
     # Allocation
@@ -230,6 +239,7 @@ class FFS:
             cg = self.groups[(preferred_cg + offset) % n]
             use_hint = hint if offset == 0 else None
             got = cg.alloc_run(want - len(blocks), use_hint)
+            self._free_blocks -= len(got)
             if got and self.alloc_gap:
                 # Loose packing (solaris7 personality): leave a hole
                 # after each allocation request.
@@ -242,6 +252,7 @@ class FFS:
     def free_block_list(self, blocks: List[int]) -> None:
         for block in blocks:
             self.cg_of_block(block).free_block(block)
+            self._free_blocks += 1
 
     def pick_cg_for_directory(self) -> int:
         """FFS heuristic: put a new directory in the emptiest group."""

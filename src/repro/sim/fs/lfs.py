@@ -20,6 +20,7 @@ from typing import List, Optional
 
 from repro.sim.errors import NoSpace
 from repro.sim.fs.ffs import FFS
+from repro.sim.fs.inode import Inode
 
 
 class LogStructuredFS(FFS):
@@ -64,6 +65,7 @@ class LogStructuredFS(FFS):
             cg = self.cg_of_block(block)
             cg._bitmap[block - cg.data_first] = 1
             cg.free_block_count -= 1
+        self._free_blocks -= len(blocks)
         self._log_head = head
         return blocks
 
@@ -74,8 +76,9 @@ class LogStructuredFS(FFS):
             if cg._bitmap[block - cg.data_first]:
                 cg._bitmap[block - cg.data_first] = 0
                 cg.free_block_count += 1
+                self._free_blocks += 1
 
-    def rewrite_pages(self, inode, first: int, last: int) -> None:
+    def rewrite_pages(self, inode: Inode, first: int, last: int) -> None:
         """Copy-on-write: overwritten pages move to the log head."""
         covered = [i for i in range(first, last + 1) if i < len(inode.blocks)]
         if not covered:

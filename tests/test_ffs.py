@@ -1,9 +1,11 @@
 """FFS allocator: i-numbers, cylinder groups, contiguity, aging."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from repro.sim import Kernel, MachineConfig
 from repro.sim.errors import (
     DirectoryNotEmpty,
     FileExists,
@@ -13,6 +15,7 @@ from repro.sim.errors import (
 )
 from repro.sim.fs.ffs import FFS, ROOT_INO
 from repro.sim.fs.inode import FileKind
+from tests.conftest import KIB, MIB
 
 BLOCK = 4096
 
@@ -85,6 +88,53 @@ class TestInodeAllocation:
         sub = fs.create(ROOT_INO, "sub", FileKind.DIRECTORY, now_ns=0)
         assert fs.cg_of_inode(sub.ino).index != 0
 
+    def test_freeing_never_allocated_slot_rejected(self):
+        fs = make_fs()
+        with pytest.raises(InvalidArgument):
+            fs.groups[1].free_inode_slot(0)
+        cg0 = fs.groups[0]
+        # Slots 0 (reserved) and 1 (root) are taken; 2 was never issued.
+        with pytest.raises(InvalidArgument):
+            cg0.free_inode_slot(2)
+        with pytest.raises(InvalidArgument):
+            cg0.free_inode_slot(-1)
+        assert cg0.free_inode_count == fs.inodes_per_cg - 2
+
+    def test_freeing_slot_twice_rejected(self):
+        fs = make_fs()
+        create_file(fs, "a", BLOCK)
+        victim = create_file(fs, "b", BLOCK).ino
+        create_file(fs, "c", BLOCK)
+        fs.unlink(ROOT_INO, "b", now_ns=0)
+        free_before = fs.groups[0].free_inode_count
+        with pytest.raises(InvalidArgument):
+            fs.groups[0].free_inode_slot(victim)
+        assert fs.groups[0].free_inode_count == free_before
+        assert create_file(fs, "d", BLOCK).ino == victim
+
+    def test_group_runs_out_then_spills(self):
+        fs = make_fs(inodes_per_cg=4)
+        inos = [create_file(fs, f"f{i}", 0).ino for i in range(5)]
+        # cg0 holds reserved 0, root 1, then 2 and 3; the fifth spills.
+        assert inos == [2, 3, 4, 5, 6]
+        assert fs.groups[0].alloc_inode_slot() is None
+        assert fs.groups[0].free_inode_count == 0
+
+    def test_kernel_build_allocates_no_per_slot_structures(self):
+        """A default kernel mounts ~2 M inode slots; none may be materialised.
+
+        Eager per-slot free lists peak at ~139 MB here; the high-water
+        mark allocator at ~1.8 MB.  Allocation size is deterministic, so
+        the guard does not depend on host speed.
+        """
+        tracemalloc.start()
+        try:
+            Kernel(MachineConfig().scaled(page_size=64 * KIB))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * MIB, f"kernel build peaked at {peak / MIB:.1f} MB"
+
 
 class TestBlockAllocation:
     def test_fresh_directory_files_laid_out_contiguously(self):
@@ -117,8 +167,14 @@ class TestBlockAllocation:
 
     def test_out_of_space_raises(self):
         fs = make_fs(total_blocks=1024, blocks_per_cg=1024, inodes_per_cg=64)
+        inode = create_file(fs, "too-big", 0)
+        cg0 = fs.groups[0]
+        before = (fs.free_blocks_total(), cg0.rotor, bytes(cg0._bitmap))
         with pytest.raises(NoSpace):
-            create_file(fs, "too-big", fs.free_blocks_total() * BLOCK + BLOCK)
+            fs.grow_to_size(inode, fs.free_blocks_total() * BLOCK + BLOCK)
+        # The precheck refuses before any rotor or bitmap moves.
+        assert (fs.free_blocks_total(), cg0.rotor, bytes(cg0._bitmap)) == before
+        assert inode.blocks == []
 
     def test_freed_blocks_are_reusable(self):
         fs = make_fs()

@@ -85,6 +85,7 @@ def test_free_counts_match_bitmaps(ops):
     apply_ops(fs, ops)
     for cg in fs.groups:
         assert cg.free_block_count == cg._bitmap.count(0)
+    assert fs.free_blocks_total() == sum(cg.free_block_count for cg in fs.groups)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,6 +129,100 @@ def test_lfs_satisfies_the_same_invariants(ops):
             assert block not in seen
             seen.add(block)
     assert set(fs.root.names()) == set(live)
+    assert fs.free_blocks_total() == sum(cg._bitmap.count(0) for cg in fs.groups)
+
+
+namespace_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["file", "dir", "remove", "rewrite"]),
+        st.integers(min_value=0, max_value=15),   # parent / victim index
+        st.integers(min_value=0, max_value=7),    # name index
+        st.integers(min_value=0, max_value=6),    # size in blocks
+    ),
+    max_size=120,
+)
+
+
+def lowest_free_slot(fs: FFS, cg_index: int):
+    """The lowest slot of a group no live inode holds (slot 0 of cg0 never)."""
+    held = {ino % fs.inodes_per_cg for ino in fs.inodes
+            if ino // fs.inodes_per_cg == cg_index}
+    first = 1 if cg_index == 0 else 0
+    return next((s for s in range(first, fs.inodes_per_cg) if s not in held), None)
+
+
+def check_allocator_state(fs: FFS):
+    for cg in fs.groups:
+        live = sum(1 for ino in fs.inodes if ino // fs.inodes_per_cg == cg.index)
+        reserved = 1 if cg.index == 0 else 0
+        assert cg.free_inode_count == fs.inodes_per_cg - live - reserved, cg.index
+    assert fs.free_blocks_total() == sum(cg.free_block_count for cg in fs.groups)
+
+
+def apply_namespace_ops(fs: FFS, ops):
+    """Create/remove files and directories across groups, checking every create."""
+    for op, pick, name_index, nblocks in ops:
+        dirs = sorted(fs.directories)
+        try:
+            if op in ("file", "dir"):
+                parent = dirs[pick % len(dirs)]
+                name = f"{op}{name_index}"
+                if fs.directories[parent].contains(name):
+                    continue
+                kind = FileKind.DIRECTORY if op == "dir" else FileKind.FILE
+                expected = {cg.index: lowest_free_slot(fs, cg.index) for cg in fs.groups}
+                inode = fs.create(parent, name, kind, now_ns=0)
+                cg_index, slot = divmod(inode.ino, fs.inodes_per_cg)
+                assert inode.ino != 0
+                assert slot == expected[cg_index], (inode.ino, expected)
+                if kind is FileKind.FILE:
+                    # Files stay in the parent's group until it has no slot left.
+                    n = len(fs.groups)
+                    home = parent // fs.inodes_per_cg
+                    first_open = next(
+                        (home + k) % n for k in range(n)
+                        if expected[(home + k) % n] is not None
+                    )
+                    assert cg_index == first_open
+                    fs.grow_to_size(inode, nblocks * BLOCK)
+            elif op == "remove":
+                victims = sorted(ino for ino in fs.inodes if ino != ROOT_INO)
+                if not victims:
+                    continue
+                ino = victims[pick % len(victims)]
+                parent, name = next(
+                    (d, n) for d, directory in fs.directories.items()
+                    for n in directory.names() if directory.lookup(n) == ino
+                )
+                if fs.inodes[ino].is_dir:
+                    if not fs.directories[ino].is_empty:
+                        continue
+                    fs.rmdir(parent, name, now_ns=0)
+                else:
+                    fs.unlink(parent, name, now_ns=0)
+            elif op == "rewrite":
+                files = sorted(ino for ino, inode in fs.inodes.items()
+                               if not inode.is_dir and inode.blocks)
+                if not files:
+                    continue
+                inode = fs.inodes[files[pick % len(files)]]
+                fs.rewrite_pages(inode, 0, len(inode.blocks) - 1)
+        except NoSpace:
+            break
+        finally:
+            check_allocator_state(fs)
+
+
+@pytest.mark.parametrize("cls", [FFS, LogStructuredFS])
+@settings(max_examples=60, deadline=None)
+@given(ops=namespace_ops)
+def test_creates_take_lowest_free_inumber_of_their_group(cls, ops):
+    fs = cls(
+        fs_id=0, total_blocks=1024, block_bytes=BLOCK,
+        blocks_per_cg=256, inodes_per_cg=8,
+    )
+    check_allocator_state(fs)
+    apply_namespace_ops(fs, ops)
 
 
 @settings(max_examples=40, deadline=None)
