@@ -9,23 +9,33 @@ Usage::
     python -m repro all --jobs 4
     python -m repro fig1 --jobs 8 --no-cache
     python -m repro fig5 --cache-dir /tmp/repro-cache
-    python -m repro observe scan --out observe-scan.jsonl
     python -m repro fig2 --metrics-out fig2-metrics.jsonl
+    python -m repro report --jobs 4
+    python -m repro observe scan --out observe-scan.jsonl
     python -m repro arena --n 64 --out arena.jsonl --report arena.json
     python -m repro arena --sweep 1,8,64,1024 --policy weighted
+    python -m repro channels --channel both --report chan.json
+
+The subcommands are ``run``, ``list``, ``report``, ``observe``, ``arena``
+and ``channels``; each accepts only its own options (``python -m repro
+<subcommand> --help``).  A first word that is not a subcommand means
+``run``, and ``run`` with no names runs the whole catalogue
+(:mod:`repro.experiments.catalogue`).
 
 Trials fan out over a process pool (``--jobs N``) and completed trials
 are cached on disk (default ``.repro-cache/``, or ``$REPRO_CACHE_DIR``;
 ``--no-cache`` disables, ``--cache-dir`` relocates).  Re-running an
 unchanged experiment is instant; per-experiment trial telemetry is
-printed to stderr.
+printed to stderr.  ``run`` and ``report`` share these options plus
+``--metrics-out FILE``, which writes the runner telemetry and per-trial
+metric samples to JSONL for offline analysis.
+
+``report [OUT]`` regenerates EXPERIMENTS.md (:mod:`repro.experiments.report`).
 
 ``observe <scenario>`` runs one always-instrumented scenario (``scan``,
 ``fldc``, ``mac``, ``contention``) and dumps every metric, event, and
 span as JSONL; ``--chrome-trace FILE`` additionally writes a
-Perfetto-loadable Chrome trace of the run; ``--metrics-out FILE``
-writes the runner telemetry and per-trial metric samples of any
-figure/ablation run to JSONL for offline analysis.
+Perfetto-loadable Chrome trace of the run.
 
 ``arena`` interleaves N gray-box tenants on one shared kernel
 (:mod:`repro.experiments.arena`): ``--n N`` runs one arena and prints
@@ -43,281 +53,55 @@ pressure, ``--sweep`` for the channel x platform x noise grid.
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, List, Optional, Sequence
 
 from repro.experiments import runner
-from repro.experiments.ablations import (
-    ablation_mac_increment,
-    ablation_probe_placement,
-    ablation_refresh_policy,
-    ablation_threshold_vs_sort,
-    lfs_ordering_experiment,
+from repro.experiments.arena import (
+    ARENA_SEED,
+    DEFAULT_MIX,
+    SWEEP_NS,
+    arena_sweep,
+    render_sweep,
+    run_arena,
 )
-from repro.experiments.figures import (
-    fig1_probe_correlation,
-    fig2_single_file_scan,
-    fig3_applications,
-    fig4_multi_platform,
-    fig5_file_ordering,
-    fig6_aging_refresh,
-    fig7_sort_mac,
-    mac_available_memory,
+from repro.experiments.catalogue import EXPERIMENTS
+from repro.experiments.channels import (
+    CHANNEL_KINDS,
+    CHANNELS_SEED,
+    channel_sweep,
+    render_channel_sweep,
+    run_channel,
 )
-from repro.experiments.robustness import robustness_noise_sweep
-from repro.experiments.tables import table1_prior_systems, table2_case_studies
+from repro.experiments.observe import SCENARIOS, observe_figure
+from repro.experiments.report import generate
+from repro.obs.export import run_stats_records, write_json, write_jsonl
+from repro.sim import PLATFORMS
+from repro.sim.arena import POLICIES
 
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig1": fig1_probe_correlation,
-    "fig2": fig2_single_file_scan,
-    "fig3": fig3_applications,
-    "fig4": fig4_multi_platform,
-    "fig5": fig5_file_ordering,
-    "fig6": fig6_aging_refresh,
-    "fig7": fig7_sort_mac,
-    "mac-available": mac_available_memory,
-    "table1": table1_prior_systems,
-    "table2": table2_case_studies,
-    "ablation-probe-placement": ablation_probe_placement,
-    "ablation-threshold": ablation_threshold_vs_sort,
-    "ablation-mac-increment": ablation_mac_increment,
-    "ablation-refresh-policy": ablation_refresh_policy,
-    "extension-lfs": lfs_ordering_experiment,
-    "robustness": robustness_noise_sweep,
-    # Single-domain ablations: attribute an accuracy (or covert-channel
-    # capacity) loss to one defensive knob at a time.
-    "robustness-latency": lambda: robustness_noise_sweep(domain="latency"),
-    "robustness-faults": lambda: robustness_noise_sweep(domain="faults"),
-    "robustness-sched": lambda: robustness_noise_sweep(domain="sched"),
-    "robustness-background": lambda: robustness_noise_sweep(domain="background"),
-}
-
-USAGE = (
-    "usage: python -m repro <name> [<name> ...] [--jobs N] [--no-cache]"
-    " [--cache-dir DIR] [--plot] [--metrics-out FILE]\n"
-    "       python -m repro observe [scan|fldc|mac|contention]"
-    " [--out FILE] [--chrome-trace FILE]\n"
-    "       python -m repro arena [--n N | --sweep N,N,...]"
-    " [--policy round-robin|weighted|random] [--seed S]\n"
-    "                             [--mix kind=w,...] [--out FILE]"
-    " [--report FILE]\n"
-    "       python -m repro channels [--channel residency|writeback|both]"
-    " [--noise L] [--n-background K]\n"
-    "                                [--platform P] [--bits N] [--sweep]"
-    " [--out FILE] [--report FILE]"
-)
+COMMANDS = ("run", "list", "report", "observe", "arena", "channels")
 
 
-def _print_stats(stats_list) -> None:
-    for stats in stats_list:
-        print(f"[runner] {stats.summary()}", file=sys.stderr, flush=True)
-
-
-def main(argv) -> int:
-    args = list(argv[1:])
-    # ``channels`` owns its own flag grammar (bare --sweep, --n-background),
-    # which the generic option loop below would misparse — delegate whole.
-    if args and args[0] == "channels":
-        from repro.experiments.channels import cli_main
-
-        return cli_main(args[1:])
-    plot = False
-    jobs = 1
-    use_cache = True
-    cache_dir = None
-    metrics_out = None
-    out_path = None
-    chrome_trace = None
-    arena_n = None
-    arena_sweep_arg = None
-    arena_policy = "round-robin"
-    arena_seed = None
-    arena_mix = None
-    report_path = None
-    names: List[str] = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg == "--plot":
-            plot = True
-        elif arg == "--no-cache":
-            use_cache = False
-        elif arg in ("--jobs", "--cache-dir", "--metrics-out", "--out",
-                     "--chrome-trace", "--n", "--sweep", "--policy",
-                     "--seed", "--mix", "--report"):
-            if i + 1 >= len(args):
-                print(f"{arg} needs a value", file=sys.stderr)
-                print(USAGE, file=sys.stderr)
-                return 2
-            value = args[i + 1]
-            i += 1
-            if arg == "--jobs":
-                try:
-                    jobs = int(value)
-                except ValueError:
-                    jobs = 0
-                if jobs < 1:
-                    print("--jobs needs a positive integer", file=sys.stderr)
-                    return 2
-            elif arg == "--cache-dir":
-                cache_dir = value
-            elif arg == "--metrics-out":
-                metrics_out = value
-            elif arg == "--chrome-trace":
-                chrome_trace = value
-            elif arg == "--n":
-                arena_n = value
-            elif arg == "--sweep":
-                arena_sweep_arg = value
-            elif arg == "--policy":
-                arena_policy = value
-            elif arg == "--seed":
-                arena_seed = value
-            elif arg == "--mix":
-                arena_mix = value
-            elif arg == "--report":
-                report_path = value
-            else:
-                out_path = value
-        elif arg.startswith("--metrics-out="):
-            metrics_out = arg.split("=", 1)[1]
-        elif arg.startswith("--out="):
-            out_path = arg.split("=", 1)[1]
-        elif arg.startswith("--chrome-trace="):
-            chrome_trace = arg.split("=", 1)[1]
-        elif arg.startswith("--jobs="):
-            try:
-                jobs = int(arg.split("=", 1)[1])
-            except ValueError:
-                jobs = 0
-            if jobs < 1:
-                print("--jobs needs a positive integer", file=sys.stderr)
-                return 2
-        elif arg.startswith("--cache-dir="):
-            cache_dir = arg.split("=", 1)[1]
-        elif arg.startswith("-"):
-            print(f"unknown option {arg}", file=sys.stderr)
-            print(USAGE, file=sys.stderr)
-            return 2
-        else:
-            names.append(arg)
-        i += 1
-
-    # `run` is an alias so `python -m repro run --all` reads naturally.
-    if names and names[0] == "run":
-        names = names[1:] or ["all"]
-    if "--all" in names:
-        names = [n for n in names if n != "--all"] or ["all"]
-
-    if names and names[0] == "arena":
-        from repro.experiments.arena import (
-            ARENA_SEED,
-            DEFAULT_MIX,
-            SWEEP_NS,
-            arena_sweep,
-            render_sweep,
-            run_arena,
-        )
-        from repro.sim.arena import POLICIES
-
-        if arena_policy not in POLICIES:
-            print(
-                f"unknown policy {arena_policy!r}"
-                f" (choose from {', '.join(POLICIES)})",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            seed = int(arena_seed, 0) if arena_seed is not None else ARENA_SEED
-        except ValueError:
-            print("--seed needs an integer", file=sys.stderr)
-            return 2
-        mix = arena_mix or DEFAULT_MIX
-        try:
-            if arena_sweep_arg is not None:
-                ns = (
-                    SWEEP_NS
-                    if arena_sweep_arg == "default"
-                    else tuple(
-                        int(part) for part in arena_sweep_arg.split(",") if part
-                    )
-                )
-                reports = arena_sweep(ns, policy=arena_policy, seed=seed, mix=mix)
-                print(render_sweep(reports))
-            else:
-                n = int(arena_n) if arena_n is not None else 8
-                report = run_arena(
-                    n,
-                    policy=arena_policy,
-                    seed=seed,
-                    mix=mix,
-                    out_path=out_path,
-                    report_path=report_path,
-                )
-                print(report.render())
-        except ValueError as exc:
-            print(f"arena: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    if names and names[0] == "observe":
-        from repro.experiments.observe import SCENARIOS, observe_figure
-
-        scenarios = names[1:] or ["scan"]
-        unknown = [s for s in scenarios if s not in SCENARIOS]
-        if unknown:
-            print(
-                f"unknown scenario(s): {', '.join(unknown)}"
-                f" (choose from {', '.join(SCENARIOS)})",
-                file=sys.stderr,
-            )
-            return 2
-        for scenario in scenarios:
-            if out_path is not None and len(scenarios) == 1:
-                dest = out_path
-            else:
-                dest = f"observe-{scenario}.jsonl"
-            if chrome_trace is not None and len(scenarios) == 1:
-                chrome_dest = chrome_trace
-            elif chrome_trace is not None:
-                chrome_dest = f"observe-{scenario}.trace.json"
-            else:
-                chrome_dest = None
-            report = observe_figure(scenario, out_path=dest,
-                                    chrome_trace=chrome_dest)
-            print(report.render())
-            print()
-        return 0
-
-    if not names or names == ["list"]:
-        print("available experiments:")
-        for name in EXPERIMENTS:
-            print(f"  {name}")
-        print("  all")
-        print("  observe")
-        print("  arena")
-        print("  channels")
-        print(f"\n{USAGE}")
-        return 0 if names else 2
-    if names == ["all"]:
+# ======================================================================
+# Subcommands
+# ======================================================================
+def _run(args: argparse.Namespace) -> int:
+    names = args.names
+    if args.all or not names or "all" in names:
         names = list(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print("run `python -m repro list` for the catalogue", file=sys.stderr)
-        return 2
-
-    all_stats = []
-    with runner.configuration(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir):
+    all_stats: List[runner.RunStats] = []
+    with _runner_configuration(args):
         runner.drain_stats()
         for name in names:
             result = EXPERIMENTS[name]()
             print(result.render())
             stats = runner.drain_stats()
             all_stats.extend(stats)
-            _print_stats(stats)
-            if plot:
+            for one in stats:
+                print(f"[runner] {one.summary()}", file=sys.stderr, flush=True)
+            if args.plot:
                 from repro.experiments.viz import plot_figure
 
                 chart = plot_figure(result)
@@ -325,16 +109,278 @@ def main(argv) -> int:
                     print()
                     print(chart)
             print()
-    if metrics_out is not None:
-        from repro.obs.export import run_stats_records, write_jsonl
-
-        count = write_jsonl(Path(metrics_out), run_stats_records(all_stats))
-        print(
-            f"[metrics] wrote {count} record(s) to {metrics_out}",
-            file=sys.stderr,
-            flush=True,
-        )
+    _write_metrics(args.metrics_out, all_stats)
     return 0
+
+
+def _list(args: argparse.Namespace) -> int:
+    print("available experiments:")
+    for name in (*EXPERIMENTS, "all"):
+        print(f"  {name}")
+    print(
+        f"\nsubcommands: {', '.join(COMMANDS)}"
+        " (python -m repro <subcommand> --help)"
+    )
+    return 0
+
+
+def _report(args: argparse.Namespace) -> int:
+    all_stats: List[runner.RunStats] = []
+    with _runner_configuration(args):
+        text = generate(all_stats)
+    Path(args.out).write_text(text)
+    print(f"wrote {args.out}", file=sys.stderr)
+    _write_metrics(args.metrics_out, all_stats)
+    return 0
+
+
+def _observe(args: argparse.Namespace) -> int:
+    scenarios = args.scenarios
+    for scenario in scenarios:
+        if args.out is not None and len(scenarios) == 1:
+            dest = args.out
+        else:
+            dest = f"observe-{scenario}.jsonl"
+        if args.chrome_trace is not None and len(scenarios) == 1:
+            chrome_dest = args.chrome_trace
+        elif args.chrome_trace is not None:
+            chrome_dest = f"observe-{scenario}.trace.json"
+        else:
+            chrome_dest = None
+        report = observe_figure(scenario, out_path=dest, chrome_trace=chrome_dest)
+        print(report.render())
+        print()
+    return 0
+
+
+def _arena(args: argparse.Namespace) -> int:
+    try:
+        if args.sweep is not None:
+            ns = (
+                SWEEP_NS
+                if args.sweep == "default"
+                else tuple(int(part) for part in args.sweep.split(",") if part)
+            )
+            reports = arena_sweep(ns, policy=args.policy, seed=args.seed, mix=args.mix)
+            print(render_sweep(reports))
+        else:
+            report = run_arena(
+                8 if args.n is None else args.n,
+                policy=args.policy,
+                seed=args.seed,
+                mix=args.mix,
+                out_path=args.out,
+                report_path=args.report,
+            )
+            print(report.render())
+    except ValueError as exc:
+        print(f"arena: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _channels(args: argparse.Namespace) -> int:
+    if args.sweep:
+        reports = channel_sweep(n_background=args.n_background, seed=args.seed)
+        print(render_channel_sweep(reports))
+        if args.report:
+            write_json(args.report, [r.to_json() for r in reports])
+            print(f"wrote sweep report to {args.report}")
+        return 0
+
+    channels = CHANNEL_KINDS if args.channel == "both" else (args.channel,)
+    for channel in channels:
+        out_path, report_path = args.out, args.report
+        if len(channels) > 1:
+            # One artifact per channel: suffix the stem.
+            if out_path:
+                p = Path(out_path)
+                out_path = str(p.with_name(f"{p.stem}-{channel}{p.suffix}"))
+            if report_path:
+                p = Path(report_path)
+                report_path = str(p.with_name(f"{p.stem}-{channel}{p.suffix}"))
+        report = run_channel(
+            channel,
+            noise=args.noise,
+            n_background=args.n_background,
+            platform=args.platform,
+            seed=args.seed,
+            n_bits=args.bits,
+            out_path=out_path,
+            report_path=report_path,
+        )
+        print(report.render())
+        print()
+    return 0
+
+
+# ======================================================================
+# Shared plumbing
+# ======================================================================
+def _runner_configuration(args: argparse.Namespace):
+    return runner.configuration(
+        jobs=args.jobs, use_cache=not args.no_cache, cache_dir=args.cache_dir
+    )
+
+
+def _write_metrics(path: Optional[str], stats: List[runner.RunStats]) -> None:
+    if path is None:
+        return
+    count = write_jsonl(Path(path), run_stats_records(stats))
+    print(f"[metrics] wrote {count} record(s) to {path}", file=sys.stderr, flush=True)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs a positive integer, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """An integer in any base Python accepts (``0xA12E7A``)."""
+    return int(text, 0)
+
+
+def _one_of(kind: str, names: Sequence[str]) -> Callable[[str], str]:
+    """Argument type for a positional drawn from ``names``.
+
+    ``choices=`` cannot validate an optional ``nargs="*"`` positional on
+    every supported Python, so each word is checked as it is converted.
+    """
+
+    def check(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {text!r} (choose from {', '.join(names)})"
+            )
+        return text
+
+    return check
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Reproduce the experiments of 'Information and Control in"
+        " Gray-Box Systems' (SOSP 2001) on a simulated kernel.",
+        epilog="A first word that is not a subcommand means `run`:"
+        " `python -m repro fig1 fig7 --jobs 4`.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    runner_options = argparse.ArgumentParser(add_help=False)
+    runner_options.add_argument(
+        "--jobs", type=_positive_int, default=1, metavar="N",
+        help="worker processes for the trials (default 1)",
+    )
+    runner_options.add_argument(
+        "--no-cache", action="store_true", help="re-simulate every trial",
+    )
+    runner_options.add_argument(
+        "--cache-dir", metavar="DIR",
+        help="trial cache (default .repro-cache/ or $REPRO_CACHE_DIR)",
+    )
+    runner_options.add_argument(
+        "--metrics-out", metavar="FILE",
+        help="write runner telemetry and per-trial metric samples as JSONL",
+    )
+
+    run = sub.add_parser(
+        "run", parents=[runner_options], help="run experiments by name",
+    )
+    run.add_argument(
+        "names", nargs="*", metavar="NAME",
+        type=_one_of("experiment", (*EXPERIMENTS, "all")),
+        help="catalogue names (see `list`); none or `all` runs everything",
+    )
+    run.add_argument("--all", action="store_true", help="run the whole catalogue")
+    run.add_argument("--plot", action="store_true", help="add terminal charts")
+    run.set_defaults(handler=_run)
+
+    sub.add_parser("list", help="print the experiment catalogue").set_defaults(
+        handler=_list
+    )
+
+    report = sub.add_parser(
+        "report", parents=[runner_options],
+        help="run every experiment and write EXPERIMENTS.md",
+    )
+    report.add_argument(
+        "out", nargs="?", default="EXPERIMENTS.md", metavar="OUT",
+        help="markdown output path (default EXPERIMENTS.md)",
+    )
+    report.set_defaults(handler=_report)
+
+    observe = sub.add_parser(
+        "observe", help="run instrumented scenarios and dump their telemetry",
+    )
+    observe.add_argument(
+        "scenarios", nargs="*", default=["scan"], metavar="SCENARIO",
+        type=_one_of("scenario", SCENARIOS),
+        help=f"one or more of {', '.join(SCENARIOS)} (default scan)",
+    )
+    observe.add_argument(
+        "--out", metavar="FILE",
+        help="JSONL path for a single scenario (default observe-<scenario>.jsonl)",
+    )
+    observe.add_argument(
+        "--chrome-trace", metavar="FILE", help="also write a Perfetto-loadable trace",
+    )
+    observe.set_defaults(handler=_observe)
+
+    arena = sub.add_parser("arena", help="N gray-box tenants on one shared kernel")
+    size = arena.add_mutually_exclusive_group()
+    # No parser default for --n: argparse treats a value equal to the
+    # default as absent, so `--n 8 --sweep ...` would pass unchallenged.
+    size.add_argument("--n", type=int, help="tenants in one arena run (default 8)")
+    size.add_argument(
+        "--sweep", metavar="N,N,...",
+        help="contention sweep over these tenant counts (`default`: 1 to 1024)",
+    )
+    arena.add_argument("--policy", choices=tuple(POLICIES), default="round-robin")
+    arena.add_argument("--seed", type=_seed, default=ARENA_SEED)
+    arena.add_argument(
+        "--mix", default=DEFAULT_MIX, metavar="KIND=W,...",
+        help=f"tenant kinds and weights (default {DEFAULT_MIX})",
+    )
+    arena.add_argument("--out", metavar="FILE", help="attributed obs stream as JSONL")
+    arena.add_argument("--report", metavar="FILE", help="report as JSON")
+    arena.set_defaults(handler=_arena)
+
+    chan = sub.add_parser(
+        "channels", help="covert-channel capacity on the multi-tenant arena",
+    )
+    chan.add_argument(
+        "--channel", choices=(*CHANNEL_KINDS, "both"), default="residency",
+    )
+    chan.add_argument("--platform", choices=sorted(PLATFORMS), default="linux22")
+    chan.add_argument("--noise", type=float, default=0.0, metavar="L")
+    chan.add_argument("--n-background", type=int, default=0, metavar="K")
+    chan.add_argument("--bits", type=int, default=48, metavar="N")
+    chan.add_argument("--seed", type=_seed, default=CHANNELS_SEED)
+    chan.add_argument(
+        "--sweep", action="store_true",
+        help="full channel x platform x noise grid (ignores --channel etc.)",
+    )
+    chan.add_argument("--out", metavar="FILE", help="obs stream JSONL path")
+    chan.add_argument("--report", metavar="FILE", help="report JSON path")
+    chan.set_defaults(handler=_channels)
+    return parser
+
+
+def main(argv: Sequence[str]) -> int:
+    args = list(argv[1:])
+    if args and args[0] not in COMMANDS and args[0] not in ("-h", "--help"):
+        args.insert(0, "run")
+    try:
+        options = _build_parser().parse_args(args)
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return int(exc.code or 0)
+    return options.handler(options)
 
 
 if __name__ == "__main__":

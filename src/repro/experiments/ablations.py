@@ -18,7 +18,7 @@ cache like the figures do.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.experiments.figures import scaled_config
 from repro.experiments.harness import FigureResult

@@ -37,7 +37,6 @@ equivalence the acceptance test asserts.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -51,7 +50,7 @@ from repro.experiments.harness import format_table
 from repro.icl.fccd import FCCD
 from repro.icl.fldc import FLDC
 from repro.icl.mac import MAC
-from repro.obs.export import stream_digest, write_jsonl
+from repro.obs.export import stream_digest, write_json, write_jsonl
 from repro.obs.views import (
     client_rollup,
     interference_matrix,
@@ -581,10 +580,7 @@ def run_arena(
         write_jsonl(Path(out_path), records)
         report.out_path = str(out_path)
     if report_path is not None:
-        path = Path(report_path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        write_json(report_path, report.to_json())
         report.report_path = str(report_path)
     return report
 

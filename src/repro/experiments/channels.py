@@ -33,8 +33,6 @@ bench suite (``benchmarks/bench_channels.py``) gates on.
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,11 +50,11 @@ from repro.icl.channels import (
     encode_frame,
     payload_bits,
 )
-from repro.obs.export import stream_digest, write_jsonl
+from repro.obs.export import stream_digest, write_json, write_jsonl
 from repro.sim import Kernel, MachineConfig, PLATFORMS, TransientError
 from repro.sim import syscalls as sc
 from repro.sim.arena import Arena, ArenaClient, make_policy
-from repro.sim.clock import MILLIS, SECONDS
+from repro.sim.clock import SECONDS
 from repro.sim.inject import (
     FaultInjector,
     horizon_after,
@@ -393,12 +391,7 @@ def run_channel(
         write_jsonl(Path(out_path), records)
         report.out_path = str(out_path)
     if report_path is not None:
-        path = Path(report_path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(report_path, report.to_json())
         report.report_path = str(report_path)
     return report
 
@@ -453,80 +446,3 @@ def render_channel_sweep(reports: Sequence[ChannelReport]) -> str:
         for r in reports
     ]
     return "== covert-channel sweep ==\n" + format_table(headers, rows)
-
-
-# ======================================================================
-# CLI (``python -m repro channels ...``)
-# ======================================================================
-def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro channels",
-        description="covert-channel capacity on the multi-tenant arena",
-    )
-    parser.add_argument(
-        "--channel",
-        choices=CHANNEL_KINDS + ("both",),
-        default="residency",
-    )
-    parser.add_argument(
-        "--platform", choices=sorted(PLATFORMS), default="linux22"
-    )
-    parser.add_argument("--noise", type=float, default=0.0)
-    parser.add_argument("--n-background", type=int, default=0)
-    parser.add_argument("--bits", type=int, default=48)
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=CHANNELS_SEED)
-    parser.add_argument(
-        "--sweep",
-        action="store_true",
-        help="full channel x platform x noise grid (ignores --channel etc.)",
-    )
-    parser.add_argument("--out", default=None, help="obs stream JSONL path")
-    parser.add_argument("--report", default=None, help="report JSON path")
-    args = parser.parse_args(argv)
-
-    if args.sweep:
-        reports = channel_sweep(
-            n_background=args.n_background, seed=args.seed
-        )
-        print(render_channel_sweep(reports))
-        if args.report:
-            path = Path(args.report)
-            if path.parent != Path(""):
-                path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(
-                    [r.to_json() for r in reports], indent=2, sort_keys=True
-                )
-                + "\n"
-            )
-            print(f"wrote sweep report to {path}")
-        return 0
-
-    channels = CHANNEL_KINDS if args.channel == "both" else (args.channel,)
-    for channel in channels:
-        out_path, report_path = args.out, args.report
-        if len(channels) > 1:
-            # One artifact per channel: suffix the stem.
-            if out_path:
-                p = Path(out_path)
-                out_path = str(p.with_name(f"{p.stem}-{channel}{p.suffix}"))
-            if report_path:
-                p = Path(report_path)
-                report_path = str(p.with_name(f"{p.stem}-{channel}{p.suffix}"))
-        report = run_channel(
-            channel,
-            noise=args.noise,
-            n_background=args.n_background,
-            platform=args.platform,
-            seed=args.seed,
-            n_bits=args.bits,
-            out_path=out_path,
-            report_path=report_path,
-        )
-        print(report.render())
-        print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(cli_main())

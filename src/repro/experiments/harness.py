@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
+
+from repro.obs.views import render_table
 
 
 def mean_std(values: Sequence[float]) -> Tuple[float, float]:
@@ -34,17 +36,7 @@ def format_cell(value: Any) -> str:
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     """Plain aligned-columns rendering for terminal output."""
-    cells = [[format_cell(v) for v in row] for row in rows]
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in cells)) if cells else len(headers[i])
-        for i in range(len(headers))
-    ]
-    def line(row: Sequence[str]) -> str:
-        return "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
-
-    out = [line(list(headers)), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in cells)
-    return "\n".join(out)
+    return render_table(headers, [[format_cell(v) for v in row] for row in rows])
 
 
 @dataclass

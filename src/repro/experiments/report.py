@@ -2,50 +2,32 @@
 
 Usage::
 
-    python -m repro.experiments.report [output-path] [--jobs N]
-        [--no-cache] [--cache-dir DIR] [--metrics-out FILE]
+    python -m repro report [OUT] [--jobs N] [--no-cache] [--cache-dir DIR]
+        [--metrics-out FILE]
 
-Runs the full set of figure/table drivers at their default (scaled)
-sizes and writes a markdown report pairing each of the paper's claims
-with the measured result.  The claims evaluated here are the same ones
-the benchmark suite asserts.  With ``--jobs N`` the drivers' trials fan
-out over a process pool; cached trials (see
-:mod:`repro.experiments.runner`) make regeneration after an unrelated
-edit near-instant.
+Runs every catalogued driver (:mod:`repro.experiments.catalogue`) at its
+default (scaled) size and writes a markdown report, ``EXPERIMENTS.md``
+unless ``OUT`` is given, pairing each of the paper's claims with the
+measured result.  The claims evaluated here are the same ones the
+benchmark suite asserts.  With ``--jobs N`` the drivers' trials fan out
+over a process pool; cached trials (see :mod:`repro.experiments.runner`)
+make regeneration after an unrelated edit near-instant.
+``python -m repro.experiments.report`` takes the same arguments.
 """
 
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from repro.experiments import runner
-from repro.experiments.ablations import (
-    ablation_mac_increment,
-    ablation_probe_placement,
-    ablation_refresh_policy,
-    ablation_threshold_vs_sort,
-    lfs_ordering_experiment,
-)
-from repro.experiments.figures import (
-    fig1_probe_correlation,
-    fig2_single_file_scan,
-    fig3_applications,
-    fig4_multi_platform,
-    fig5_file_ordering,
-    fig6_aging_refresh,
-    fig7_sort_mac,
-    mac_available_memory,
-)
+from repro.experiments.catalogue import EXPERIMENTS
 from repro.experiments.harness import FigureResult
-from repro.experiments.robustness import robustness_noise_sweep
-from repro.experiments.tables import table1_prior_systems, table2_case_studies
 
 HEADER = """\
 # EXPERIMENTS — paper versus measured
 
-Generated by `python -m repro.experiments.report` on the scaled default
+Generated by `python -m repro report` on the scaled default
 configuration (112 MB available memory, 64 KiB simulator pages unless
 noted; the paper's machine cached ~830 MB).  Absolute numbers are not
 comparable to the paper's testbed; every claim below is about *shape* —
@@ -236,32 +218,33 @@ def robustness_summary(result: FigureResult) -> List[str]:
     ]
 
 
-SECTIONS: List[Tuple[str, Callable[[], FigureResult], Callable]] = [
-    ("Figure 1 — probe correlation", fig1_probe_correlation, fig1_summary),
-    ("Figure 2 — single-file scan", fig2_single_file_scan, fig2_summary),
-    ("Figure 3 — application performance", fig3_applications, fig3_summary),
-    ("Figure 4 — multi-platform", fig4_multi_platform, fig4_summary),
-    ("Figure 5 — file ordering matters", fig5_file_ordering, fig5_summary),
-    ("Figure 6 — aging and refresh", fig6_aging_refresh, fig6_summary),
-    ("Figure 7 — sort with MAC", fig7_sort_mac, fig7_summary),
-    ("§4.3.3 — MAC available memory", mac_available_memory, mac_summary),
-    ("Table 1 — prior gray-box systems", table1_prior_systems, table_summary),
-    ("Table 2 — case-study techniques", table2_case_studies, table_summary),
-    ("Ablation — probe placement (§4.1.2)", ablation_probe_placement, table_summary),
-    ("Ablation — threshold vs sorting (§4.1.2)", ablation_threshold_vs_sort, table_summary),
-    ("Ablation — MAC increment schedule (§4.3.2)", ablation_mac_increment, table_summary),
-    ("Ablation — refresh cadence (§4.2.5)", ablation_refresh_policy, table_summary),
-    ("Extension — LFS knowledge module (§4.2.5)", lfs_ordering_experiment, table_summary),
-    ("Robustness — ICL accuracy vs injected noise (§5)", robustness_noise_sweep, robustness_summary),
+#: One report section per catalogue entry: ``(name, title, summary)``.
+SECTIONS: List[Tuple[str, str, Callable[[FigureResult], List[str]]]] = [
+    ("fig1", "Figure 1 — probe correlation", fig1_summary),
+    ("fig2", "Figure 2 — single-file scan", fig2_summary),
+    ("fig3", "Figure 3 — application performance", fig3_summary),
+    ("fig4", "Figure 4 — multi-platform", fig4_summary),
+    ("fig5", "Figure 5 — file ordering matters", fig5_summary),
+    ("fig6", "Figure 6 — aging and refresh", fig6_summary),
+    ("fig7", "Figure 7 — sort with MAC", fig7_summary),
+    ("mac-available", "§4.3.3 — MAC available memory", mac_summary),
+    ("table1", "Table 1 — prior gray-box systems", table_summary),
+    ("table2", "Table 2 — case-study techniques", table_summary),
+    ("ablation-probe-placement", "Ablation — probe placement (§4.1.2)", table_summary),
+    ("ablation-threshold", "Ablation — threshold vs sorting (§4.1.2)", table_summary),
+    ("ablation-mac-increment", "Ablation — MAC increment schedule (§4.3.2)", table_summary),
+    ("ablation-refresh-policy", "Ablation — refresh cadence (§4.2.5)", table_summary),
+    ("extension-lfs", "Extension — LFS knowledge module (§4.2.5)", table_summary),
+    ("robustness", "Robustness — ICL accuracy vs injected noise (§5)", robustness_summary),
 ]
 
 
 def generate(collected_stats: Optional[List[runner.RunStats]] = None) -> str:
     parts = [HEADER]
-    for title, driver, summarize in SECTIONS:
+    for name, title, summarize in SECTIONS:
         print(f"running {title} ...", file=sys.stderr, flush=True)
         runner.drain_stats()
-        result = driver()
+        result = EXPERIMENTS[name]()
         for stats in runner.drain_stats():
             if collected_stats is not None:
                 collected_stats.append(stats)
@@ -278,50 +261,6 @@ def generate(collected_stats: Optional[List[runner.RunStats]] = None) -> str:
     return "\n".join(parts)
 
 
-def main(argv: List[str]) -> int:
-    args = list(argv[1:])
-    jobs = 1
-    use_cache = True
-    cache_dir = None
-    metrics_out = None
-    positional: List[str] = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg == "--no-cache":
-            use_cache = False
-        elif arg == "--jobs":
-            jobs = int(args[i + 1])
-            i += 1
-        elif arg.startswith("--jobs="):
-            jobs = int(arg.split("=", 1)[1])
-        elif arg == "--cache-dir":
-            cache_dir = args[i + 1]
-            i += 1
-        elif arg.startswith("--cache-dir="):
-            cache_dir = arg.split("=", 1)[1]
-        elif arg == "--metrics-out":
-            metrics_out = args[i + 1]
-            i += 1
-        elif arg.startswith("--metrics-out="):
-            metrics_out = arg.split("=", 1)[1]
-        else:
-            positional.append(arg)
-        i += 1
-    output = positional[0] if positional else "EXPERIMENTS.md"
-    all_stats: List[runner.RunStats] = []
-    with runner.configuration(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir):
-        text = generate(all_stats)
-    with open(output, "w") as handle:
-        handle.write(text)
-    print(f"wrote {output}", file=sys.stderr)
-    if metrics_out is not None:
-        from repro.obs.export import run_stats_records, write_jsonl
-
-        count = write_jsonl(Path(metrics_out), run_stats_records(all_stats))
-        print(f"wrote {count} metric record(s) to {metrics_out}", file=sys.stderr)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv))
+    from repro.__main__ import main
+    raise SystemExit(main(["repro", "report", *sys.argv[1:]]))

@@ -9,7 +9,7 @@ not just asserted.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.experiments.harness import FigureResult
 from repro.icl.base import TechniqueProfile

@@ -38,7 +38,7 @@ clients' turns cell by cell (:mod:`repro.sim.arena`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Sequence, Tuple
 
 from repro.icl.base import ICL, TechniqueProfile, register_icl
 from repro.sim import syscalls as sc

@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
+from repro.obs.views import render_table
+
 
 def _jsonable(value: Any) -> Any:
     """Coerce exotic values (tuples, keys, generators) to JSON-safe form."""
@@ -37,6 +39,14 @@ def write_jsonl(path: Union[str, Path],
             handle.write("\n")
             count += 1
     return count
+
+
+def write_json(path: Union[str, Path], payload: Any) -> None:
+    """Write one indented, key-sorted JSON document (a run's report file)."""
+    path = Path(path)
+    if path.parent != Path(""):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def stream_digest(records: Iterable[Dict[str, Any]]) -> str:
@@ -241,13 +251,7 @@ def summarize_metrics(samples: Iterable[Dict[str, Any]]) -> str:
             rows.append([sample["name"], sample["kind"], shown,
                          "", "", "", ""])
     header = ["name", "kind", "value/count", "mean", "p50", "p95", "max"]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows
-              else len(header[i]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    return render_table(header, rows, left=True)
 
 
 def summarize_events(records: Iterable[Dict[str, Any]]) -> str:
@@ -267,13 +271,7 @@ def summarize_events(records: Iterable[Dict[str, Any]]) -> str:
         for (kind, name), agg in sorted(counts.items(),
                                         key=lambda kv: kv[0][1])
     ]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows
-              else len(header[i]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    return render_table(header, rows, left=True)
 
 
 def summarize_pids(records: Iterable[Dict[str, Any]]) -> str:
@@ -333,13 +331,7 @@ def summarize_pids(records: Iterable[Dict[str, Any]]) -> str:
         ]
         for pid, agg in sorted(per_pid.items())
     ]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows
-              else len(header[i]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    return render_table(header, rows, left=True)
 
 
 USAGE = """\

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 # Geometric bucket upper bounds for latency histograms, in simulated
 # nanoseconds: 256 ns .. ~17 s, a factor of 4 per bucket.  One decade of
@@ -176,7 +176,6 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._stats_sources: List[Tuple[str, Any]] = []
-        self._collectors: List[Callable[[], List[Dict[str, Any]]]] = []
 
     # -- instrument accessors (get-or-create) ---------------------------
     def counter(self, name: str) -> Counter:
@@ -208,12 +207,6 @@ class MetricsRegistry:
         """
         self._stats_sources.append((prefix, stats))
 
-    def register_collector(
-        self, collector: Callable[[], List[Dict[str, Any]]]
-    ) -> None:
-        """Register a callable returning extra samples at collect time."""
-        self._collectors.append(collector)
-
     # -- export ----------------------------------------------------------
     def collect(self) -> List[Dict[str, Any]]:
         """Every instrument and stats source as plain-dict samples."""
@@ -228,8 +221,6 @@ class MetricsRegistry:
             for name, value in stats.as_dict().items():
                 samples.append({"type": "metric", "kind": "counter",
                                 "name": f"{prefix}.{name}", "value": value})
-        for collector in self._collectors:
-            samples.extend(collector())
         return samples
 
 

@@ -49,6 +49,8 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import Dict, List, Optional
 
+from repro.obs.views import render_table
+
 __all__ = ["Section", "Profiler", "PROFILER"]
 
 #: Layer prefixes of the top-level sections.  Any other dotted name
@@ -177,16 +179,7 @@ class Profiler:
             ]
             for r in rows
         ]
-        widths = [
-            max(len(header[i]), *(len(c[i]) for c in cells)) if cells
-            else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-        lines.append("  ".join("-" * w for w in widths))
-        for row in cells:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        return "\n".join(lines)
+        return render_table(header, cells, left=True)
 
 
 #: The process-wide profiler every hook points at.  Off by default; the

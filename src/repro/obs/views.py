@@ -18,10 +18,11 @@ suite checks.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = [
     "UNATTRIBUTED",
+    "render_table",
     "ObsView",
     "split_by_pid",
     "interference_matrix",
@@ -33,6 +34,25 @@ __all__ = [
 
 #: The pid bucket for records no simulated process was dispatched for.
 UNATTRIBUTED = 0
+
+
+def render_table(
+    header: Sequence[str], rows: Sequence[Sequence[str]], *, left: bool = False
+) -> str:
+    """String cells in columns two spaces apart, under a dashed rule.
+
+    Each column is as wide as its widest cell.  Cells are right-justified;
+    ``left=True`` left-justifies them and strips each line's trailing
+    padding.  Every text table in the package renders through here.
+    """
+    widths = [max([len(h), *(len(row[i]) for row in rows)]) for i, h in enumerate(header)]
+
+    def line(cells: Sequence[str]) -> str:
+        if left:
+            return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+        return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
+
+    return "\n".join([line(header), "  ".join("-" * w for w in widths), *map(line, rows)])
 
 
 def split_by_pid(
@@ -154,18 +174,8 @@ def render_matrix(
             + [str(row.get(victim, 0)) for victim in victims]
             + [str(row_sums[instigator])]
         )
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows
-        else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    if elided_note:
-        lines.append(elided_note)
-    return "\n".join(lines)
+    table = render_table(header, rows)
+    return f"{table}\n{elided_note}" if elided_note else table
 
 
 def client_rollup(

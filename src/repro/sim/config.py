@@ -22,7 +22,7 @@ knowledge plus observations, rather than per-OS detail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.sim.clock import MICROS, MILLIS, NANOS
 
@@ -94,7 +94,6 @@ class MachineConfig:
     kernel_reserved_bytes: int = 66 * MIB
     cpus: int = 2
     data_disks: int = 4
-    swap_disks: int = 1
     disk: DiskSpec = field(default_factory=DiskSpec)
 
     # --- CPU-side time constants -------------------------------------
@@ -177,10 +176,8 @@ class PoolPlan:
 class PlatformSpec:
     """An operating-system personality layered on the shared kernel code.
 
-    Personalities are *data plus hooks*: policy names, sizing constants,
-    and — where data alone cannot express a behaviour — factory hooks
-    (:meth:`make_pools`, :attr:`page_cache_factory`,
-    :attr:`syscall_overrides`) that the kernel resolves once at
+    Personalities are *data*: policy names and sizing constants, which
+    :meth:`make_pools` turns into the memory layout once at kernel
     construction.  Shared kernel code never branches on the platform
     name, which is exactly the property the paper's ICLs exploit: the
     OSes differ in policy, not in the syscall surface.
@@ -193,33 +190,20 @@ class PlatformSpec:
     # If set, the file cache is a separate fixed-size pool of this many
     # bytes (NetBSD 1.5 style) instead of sharing all available memory.
     fixed_file_cache_bytes: Optional[int] = None
-    # Whether anonymous memory and file pages compete in one pool.
-    unified_vm: bool = True
     # Blocks the allocator skips between allocation requests.  The paper
     # hypothesizes (§4.2.3) that Solaris "does not pack the data blocks
     # of small files together as tightly as the others, and thus spends
     # more time in rotation" — a gap of one block reproduces exactly
     # that observable.
     ffs_alloc_gap: int = 0
-    # Replacement policy for the anonymous pool when the platform splits
-    # pools (ignored in unified mode, where one policy serves both).
-    anon_cache_policy: str = "lru"
-    # Construction hooks, resolved once when the kernel is assembled.
-    # ``page_cache_factory`` (same signature as PageCacheManager) lets a
-    # platform substitute its own data-page I/O manager; ``None`` means
-    # the stock one.  ``syscall_overrides`` is a tuple of
-    # ``(syscall_name, factory)`` pairs; each ``factory(kernel)`` returns
-    # the replacement handler, installed via ``SyscallTable.override``.
-    page_cache_factory: Optional[Callable[..., Any]] = None
-    syscall_overrides: Tuple[Tuple[str, Callable[[Any], Callable[..., Any]]], ...] = ()
 
     def make_pools(self, config: MachineConfig) -> PoolPlan:
         """Build this platform's page pools for ``config``'s memory.
 
         Split platforms (``fixed_file_cache_bytes`` set) get a dedicated
-        file/metadata pool of that size plus an anonymous pool (policy
-        :attr:`anon_cache_policy`) over the remainder; unified platforms
-        get one pool, under :attr:`cache_policy`, spanning everything.
+        file/metadata pool of that size plus an LRU anonymous pool over
+        the remainder; unified platforms get one pool, under
+        :attr:`cache_policy`, spanning everything.
         """
         # Imported here: config is the bottom layer, the cache package
         # sits above it, and only this hook needs to reach upward.
@@ -233,7 +217,7 @@ class PlatformSpec:
             return PoolPlan(
                 file_pool=make_policy(self.cache_policy),
                 file_capacity_pages=file_pages,
-                anon_pool=make_policy(self.anon_cache_policy),
+                anon_pool=make_policy("lru"),
                 anon_capacity_pages=total - file_pages,
                 unified=False,
             )
@@ -251,7 +235,6 @@ linux22 = PlatformSpec(
     name="linux22",
     description="Linux 2.2.17: unified page cache, clock replacement",
     cache_policy="clock",
-    unified_vm=True,
 )
 
 netbsd15 = PlatformSpec(
@@ -259,14 +242,12 @@ netbsd15 = PlatformSpec(
     description="NetBSD 1.5: fixed 64 MB buffer cache, LRU replacement",
     cache_policy="lru",
     fixed_file_cache_bytes=64 * MIB,
-    unified_vm=False,
 )
 
 solaris7 = PlatformSpec(
     name="solaris7",
     description="Solaris 7: unified cache that holds early files persistently",
     cache_policy="segmap",
-    unified_vm=True,
     ffs_alloc_gap=4,
 )
 

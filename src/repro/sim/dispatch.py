@@ -8,12 +8,11 @@ wake-up).  Raising a :class:`~repro.sim.errors.SimOSError` delivers the
 failure into the process after the base syscall overhead.
 
 At kernel construction each subsystem registers its handlers
-(``subsystem.register_syscalls(table)``), then the platform personality
-applies its :attr:`~repro.sim.config.PlatformSpec.syscall_overrides` —
-so ``linux22`` / ``netbsd15`` / ``solaris7`` (and any future platform)
-differ by *which handlers they install*, never by conditionals inside
-shared kernel code.  Vectored calls and experimental syscalls register
-the same way instead of growing a central if/elif chain.
+(``subsystem.register_syscalls(table)``), so vectored calls and
+experimental syscalls plug in without growing a central if/elif chain.
+:meth:`SyscallTable.override` swaps an installed handler at run time —
+the fault injector (:mod:`repro.sim.inject`) wraps probe syscalls that
+way.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ class SyscallTable:
 
     ``register`` claims a fresh name (duplicate registration is a
     programming error — two subsystems fighting over one syscall);
-    ``override`` replaces an existing handler (the platform-
-    personality hook) and returns the previous one so wrappers can
-    delegate to the stock behaviour.
+    ``override`` replaces an existing handler and returns the previous
+    one so wrappers can delegate to the stock behaviour.
     """
 
     __slots__ = ("_handlers",)

@@ -244,13 +244,15 @@ class FileIO:
         pending_stamp: Optional[int] = None
         inject = self.inject
         # Vectorized pre-pass: when every probe is an in-bounds,
-        # single-page read and every probed page is resident (one numpy
+        # single-page read of one constant (clipped) length — the ICL
+        # shape — and every probed page is resident (one numpy
         # membership test against the file's residency mirror), the
-        # whole batch is hits — one batched policy update, then pure
-        # per-probe arithmetic.  Everything is *decided* before the pool
-        # is touched, so a failed check falls through to the scalar loop
-        # with nothing mutated; the effects are exactly the scalar fast
-        # branch's, probe for probe.
+        # whole batch is hits: one batched policy update, then one
+        # elapsed value per probe.  Everything is *decided* before the
+        # pool is touched (the residency test references the pages only
+        # when it passes, so it goes last), so a failed check falls
+        # through to the scalar loop with nothing mutated; the effects
+        # are exactly the scalar fast branch's, probe for probe.
         if self.numpy_paths and inject is None and len(probes) >= 8:
             arr = np.asarray(probes)
             if arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind == "i":
@@ -263,45 +265,22 @@ class FileIO:
                 ):
                     eff = np.minimum(lens, size - offs)
                     first = offs // page
-                    if bool(
-                        (first == (offs + eff - 1) // page).all()
-                    ) and self.mm.touch_file_pages_resident(fs_id, ino, first):
-                        lo, hi = int(eff.min()), int(eff.max())
-                        if lo == hi:
-                            # The ICL shape: constant probe length, so
-                            # one elapsed value and (without content)
-                            # one shared immutable ProbeRead.
-                            elapsed = overhead + cfg.page_copy_ns(lo)
-                            total = elapsed * len(probes)
-                            if stored is None:
-                                results = [ProbeRead(lo, elapsed)] * len(probes)
-                            else:
-                                results = [
-                                    ProbeRead(lo, elapsed, bytes(stored[o : o + lo]))
-                                    for o in offs.tolist()
-                                ]
+                    length = int(eff.min())
+                    if (
+                        length == int(eff.max())
+                        and bool((first == (offs + eff - 1) // page).all())
+                        and self.mm.touch_file_pages_resident(fs_id, ino, first)
+                    ):
+                        elapsed = overhead + cfg.page_copy_ns(length)
+                        total = elapsed * len(probes)
+                        if stored is None:
+                            # Without content, one shared immutable result.
+                            results = [ProbeRead(length, elapsed)] * len(probes)
                         else:
-                            elapsed_l = []
-                            for e in eff.tolist():
-                                copy = copy_ns.get(e)
-                                if copy is None:
-                                    copy = cfg.page_copy_ns(e)
-                                    copy_ns[e] = copy
-                                elapsed_l.append(overhead + copy)
-                            total = sum(elapsed_l)
-                            if stored is None:
-                                results = [
-                                    ProbeRead(e, el)
-                                    for e, el in zip(eff.tolist(), elapsed_l)
-                                ]
-                            else:
-                                results = [
-                                    ProbeRead(e, el, bytes(stored[o : o + e]))
-                                    for o, e, el in zip(
-                                        offs.tolist(), eff.tolist(), elapsed_l
-                                    )
-                                ]
-                            elapsed = elapsed_l[-1]
+                            results = [
+                                ProbeRead(length, elapsed, bytes(stored[o : o + length]))
+                                for o in offs.tolist()
+                            ]
                         # Every probe is non-empty, so the last probe's
                         # start-time atime stamp survives, as in the
                         # scalar loop.

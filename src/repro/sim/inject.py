@@ -50,7 +50,7 @@ simulated timeline as the ICL's reaction (``icl.retry``,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.sim.clock import MICROS, MILLIS, SECONDS
@@ -560,17 +560,10 @@ class FaultInjector:
         Returns the spawned :class:`~repro.sim.proc.process.Process`es.
         """
         spawned = []
-        for index, spec in enumerate(self.config.interference):
-            seed = _splitmix64(
-                _fnv1a(f"interference/{spec.kind}/{index}", self.config.seed & _MASK64)
-            )
-            factory = _INTERFERENCE_FACTORIES[spec.kind]
-            gen = factory(spec, seed, horizon_ns, f"/{mount}")
-            process = kernel.spawn(gen, f"inject-{spec.kind}{index}")
-            obs = kernel.obs
-            if obs is not None:
-                obs.count("inject.interference_procs")
-            spawned.append(process)
+        for name, gen in interference_bodies(self.config, horizon_ns, mount):
+            spawned.append(kernel.spawn(gen, name))
+            if kernel.obs is not None:
+                kernel.obs.count("inject.interference_procs")
         return spawned
 
     # ------------------------------------------------------------------
@@ -725,8 +718,7 @@ def interference_bodies(
     *interleave* them as quantum-parked clients (a free-running sleeper
     would burn its whole horizon inside the first slice, because
     ``run_until_blocked`` advances the clock to future-ready processes).
-    Same bodies, same ``(seed, kind, index)`` derivation, caller's
-    choice of drive.
+    Each body's seed derives from ``(config.seed, kind, index)``.
     """
     bodies: List[Tuple[str, Generator]] = []
     for index, spec in enumerate(config.interference):
@@ -747,8 +739,3 @@ def interference_bodies(
 def horizon_after(kernel: Any, ns: int = 2 * SECONDS) -> int:
     """An absolute interference horizon ``ns`` past the kernel's clock."""
     return kernel.clock.now + ns
-
-
-def scaled(config: InjectionConfig, **overrides: Any) -> InjectionConfig:
-    """A copy of ``config`` with the given fields replaced."""
-    return replace(config, **overrides)

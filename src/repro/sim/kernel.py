@@ -5,8 +5,7 @@ each one simulated time assembled from the machine model.  The actual
 machinery lives in layered subsystems (see ``ARCHITECTURE.md``):
 
 * :class:`~repro.sim.dispatch.SyscallTable` — name → handler registry;
-  each subsystem registers its own handlers, then the platform
-  personality applies its overrides;
+  each subsystem registers its own handlers;
 * :class:`~repro.sim.fs.namei.NameLayer` — path walking, metadata I/O,
   and the namespace syscalls;
 * :class:`~repro.sim.fileio.FileIO` — descriptor syscalls and the
@@ -70,8 +69,6 @@ class Kernel:
         config: Optional[MachineConfig] = None,
         platform: PlatformSpec = linux22,
         *,
-        cg_bytes: int = CG_BYTES_DEFAULT,
-        inodes_per_cg: int = 1024,
         fs_class: type = FFS,
         obs: Optional[Observability] = None,
         event_capacity: Optional[int] = None,
@@ -110,7 +107,7 @@ class Kernel:
             cfg, platform, swap_capacity_pages=swap_pages, obs=self.obs
         )
 
-        blocks_per_cg = max(cg_bytes // cfg.page_size, 64)
+        blocks_per_cg = max(CG_BYTES_DEFAULT // cfg.page_size, 64)
         self.mounts = MountTable()
         self._fs_by_id: Dict[int, FFS] = {}
         self._disk_of_fs: Dict[int, Disk] = {}
@@ -120,7 +117,6 @@ class Kernel:
                 total_blocks=disk.capacity_blocks(cfg.page_size),
                 block_bytes=cfg.page_size,
                 blocks_per_cg=blocks_per_cg,
-                inodes_per_cg=inodes_per_cg,
                 alloc_gap=platform.ffs_alloc_gap,
             )
             self.mounts.mount(f"mnt{i}", fs, disk.disk_id)
@@ -136,8 +132,7 @@ class Kernel:
         self.contents: Dict[Tuple[int, int], bytearray] = {}
 
         # --- subsystem assembly (order follows the data dependencies) --
-        page_cache_factory = platform.page_cache_factory or PageCacheManager
-        self.page_cache = page_cache_factory(
+        self.page_cache = PageCacheManager(
             cfg, self.mm, self.swap_disk, self._fs_by_id, self._disk_of_fs
         )
         # ``name_cache=False`` builds an identical machine without walk
@@ -178,8 +173,6 @@ class Kernel:
         self.syscalls.register("gettime", self._sys_gettime)
         self.syscalls.register("compute", self._sys_compute)
         self.syscalls.register("sleep", self._sys_sleep)
-        for name, factory in platform.syscall_overrides:
-            self.syscalls.override(name, factory(self))
         # The dispatch loop does one dict get per syscall; bind the
         # table's live mapping once.
         self._handlers: Dict[str, Callable] = self.syscalls.mapping()

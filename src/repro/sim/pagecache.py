@@ -16,9 +16,7 @@ those decisions into simulated I/O time:
   pages to their home blocks (:meth:`dispose_victims`).
 
 Every method threads explicit simulated time ``t`` and returns the new
-time; nothing here reads or advances the kernel clock.  Platform
-personalities install this manager (or a subclass) via
-:attr:`~repro.sim.config.PlatformSpec.page_cache_factory`.
+time; nothing here reads or advances the kernel clock.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ with ``yield from`` inside a process.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Tuple
+from typing import Generator
 
 from repro.sim import syscalls as sc
-from repro.sim.syscalls import Syscall, SyscallResult
+from repro.sim.syscalls import Syscall
 
 
 def now() -> Generator:

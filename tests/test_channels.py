@@ -24,13 +24,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.__main__ import main
 from repro.experiments.channels import (
     CHANNELS_SEED,
     channel_sweep,
     channels_config,
     render_channel_sweep,
     run_channel,
-    cli_main,
 )
 from repro.experiments.robustness import robustness_noise_sweep
 from repro.icl.channels import (
@@ -344,8 +344,8 @@ def test_robustness_sweep_domain_filter():
 def test_cli_writes_validating_artifacts(tmp_path, capsys):
     out = tmp_path / "chan.jsonl"
     report = tmp_path / "chan.json"
-    code = cli_main([
-        "--channel", "residency", "--bits", "16", "--noise", "0.4",
+    code = main([
+        "repro", "channels", "--channel", "residency", "--bits", "16", "--noise", "0.4",
         "--n-background", "1",
         "--out", str(out), "--report", str(report),
     ])
@@ -363,8 +363,8 @@ def test_cli_writes_validating_artifacts(tmp_path, capsys):
 
 def test_cli_both_channels_suffixes_artifacts(tmp_path):
     report = tmp_path / "chan.json"
-    code = cli_main([
-        "--channel", "both", "--bits", "8", "--report", str(report),
+    code = main([
+        "repro", "channels", "--channel", "both", "--bits", "8", "--report", str(report),
     ])
     assert code == 0
     assert not report.exists()

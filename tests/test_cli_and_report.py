@@ -1,8 +1,14 @@
 """The `python -m repro` CLI and the EXPERIMENTS.md report summaries."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import COMMANDS, EXPERIMENTS, main
 from repro.experiments.harness import FigureResult
 from repro.experiments import report
 
@@ -37,6 +43,70 @@ class TestCli:
         assert main(["repro", "table2"]) == 0
         out = capsys.readouterr().out
         assert "FCCD" in out and "Knowledge" in out
+
+
+class TestCliContract:
+    """Each subcommand takes only its own options; misuse exits 2."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["arena", "--n", "2", "--metrics-out", "m.jsonl"], id="arena-metrics-out"),
+        pytest.param(["table2", "--out", "t.jsonl"], id="table2-out"),
+        pytest.param(["table2", "--report", "t.json"], id="table2-report"),
+        pytest.param(["table2", "--chrome-trace", "t.trace.json"], id="table2-chrome-trace"),
+        pytest.param(["table2", "--policy", "weighted"], id="table2-policy"),
+        pytest.param(["observe", "--jobs", "2"], id="observe-jobs"),
+        pytest.param(["observe", "--plot"], id="observe-plot"),
+        pytest.param(["channels", "--jobs", "2"], id="channels-jobs"),
+    ])
+    def test_misplaced_option_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["repro", *argv]) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["report", "--jobs"], id="missing-value"),
+        pytest.param(["report", "--jobs", "0"], id="zero"),
+        pytest.param(["report", "out.md", "--jobs", "x"], id="not-a-number"),
+    ])
+    def test_report_rejects_bad_jobs(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["repro", *argv]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_arena_size_and_sweep_are_exclusive(self, capsys):
+        assert main(["repro", "arena", "--n", "2", "--sweep", "1,2"]) == 2
+        assert "not allowed" in capsys.readouterr().err
+
+    def test_value_options_accept_equals_form(self, tmp_path, capsys):
+        report = tmp_path / "a.json"
+        assert main(["repro", "arena", "--n=4", f"--report={report}"]) == 0
+        assert json.loads(report.read_text())["n"] == 4
+        assert "obs digest:" in capsys.readouterr().out
+
+    def test_run_writes_metrics_file(self, tmp_path, capsys):
+        metrics = tmp_path / "m.jsonl"
+        assert main(["repro", "run", "table2", f"--metrics-out={metrics}"]) == 0
+        assert metrics.exists()
+        assert "[metrics] wrote" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_exits_zero(self, command, capsys):
+        argv = ["repro"] + ([command] if command else []) + ["--help"]
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_report_module_delegates_to_the_cli(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.report", "out.md", "--jobs"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "python -m repro report" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportSummaries:
@@ -87,8 +157,9 @@ class TestReportSummaries:
         assert len(report.mac_summary(result)) == 2
 
     def test_sections_cover_every_experiment(self):
-        titles = [title for title, _d, _s in report.SECTIONS]
+        titles = [title for _name, title, _summary in report.SECTIONS]
         assert len(titles) == 16
+        assert all(name in EXPERIMENTS for name, _title, _summary in report.SECTIONS)
         assert any("Robustness" in t for t in titles)
         assert any("Figure 7" in t for t in titles)
         assert any("Table 1" in t for t in titles)

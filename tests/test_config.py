@@ -79,13 +79,13 @@ class TestPlatforms:
         assert set(PLATFORMS) == {"linux22", "netbsd15", "solaris7"}
 
     def test_linux_is_unified_clock(self):
-        assert linux22.unified_vm
+        assert linux22.make_pools(MachineConfig()).unified
         assert linux22.cache_policy == "clock"
         assert linux22.fixed_file_cache_bytes is None
 
     def test_netbsd_has_fixed_64mb_buffer_cache(self):
         assert netbsd15.fixed_file_cache_bytes == 64 * MIB
-        assert not netbsd15.unified_vm
+        assert not netbsd15.make_pools(MachineConfig()).unified
         assert netbsd15.cache_policy == "lru"
 
     def test_solaris_holds_pages_and_packs_loosely(self):

@@ -2,9 +2,9 @@
 
 Most of the suite runs on ``linux22`` (the default spec).  This module
 takes a representative slice — syscall surface, twin-kernel batched
-equivalence, pool arrangement, construction hooks — and runs it on all
+equivalence, pool arrangement, kernel assembly — and runs it on all
 three :class:`~repro.sim.config.PlatformSpec`\\ s, so a platform-specific
-regression (a hook that only ``netbsd15`` exercises, say) cannot hide
+regression (a pool layout only ``netbsd15`` uses, say) cannot hide
 behind the default.
 
 The config gives the machine 96 MiB so ``netbsd15``'s fixed 64 MiB
@@ -20,7 +20,6 @@ from repro.sim import Kernel, MachineConfig
 from repro.sim import syscalls as sc
 from repro.sim.config import PLATFORMS, PoolPlan, PlatformSpec
 from repro.sim.dispatch import SyscallTable
-from repro.sim.pagecache import PageCacheManager
 from repro.workloads.files import make_file
 
 KIB = 1024
@@ -178,55 +177,10 @@ def test_pread_batch_twin_equivalence(platform):
 
 
 # ======================================================================
-# Platform construction hooks
+# Kernel assembly
 # ======================================================================
-def test_syscall_override_hook(platform):
-    """A personality can replace a stock handler via the dispatch table."""
-
-    def gettime_factory(kernel):
-        def slow_gettime(process):
-            value, duration = kernel._sys_gettime(process)
-            return value, duration + 1000
-        return slow_gettime
-
-    import dataclasses
-
-    custom = dataclasses.replace(
-        platform,
-        name=platform.name + "-slowclock",
-        syscall_overrides=(("gettime", gettime_factory),),
-    )
-    stock = make_kernel(platform)
-    hooked = make_kernel(custom)
-
-    def body():
-        res = yield sc.gettime()
-        return res.elapsed_ns
-
-    assert (
-        hooked.run_process(body(), "t") - stock.run_process(body(), "t") == 1000
-    )
-
-
-def test_page_cache_factory_hook(platform):
-    """A personality can substitute its own page-cache manager."""
-    seen = {}
-
-    class RecordingPageCache(PageCacheManager):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            seen["instance"] = self
-
-    import dataclasses
-
-    custom = dataclasses.replace(
-        platform,
-        name=platform.name + "-recording",
-        page_cache_factory=RecordingPageCache,
-    )
-    kernel = make_kernel(custom)
-    assert kernel.page_cache is seen["instance"]
-    # All layers share the substituted manager.
+def test_layers_share_one_page_cache(platform):
+    kernel = make_kernel(platform)
     assert kernel.vfs.page_cache is kernel.page_cache
     assert kernel.fileio.page_cache is kernel.page_cache
     assert kernel.vm.page_cache is kernel.page_cache
