@@ -42,13 +42,16 @@ Perfetto-loadable Chrome trace of the run.
 the per-client fairness/accuracy/throughput report (``--out`` dumps the
 attributed obs stream as JSONL, ``--report`` the report as JSON);
 ``--sweep N,N,...`` (or ``--sweep default`` for 1→1024) prints the
-contention sweep table.
+contention sweep table and writes no files, so it rejects ``--out`` and
+``--report``.
 
 ``channels`` transmits a framed payload over a covert channel between
 two arena tenants (:mod:`repro.experiments.channels`) and reports
 bandwidth and bit-error rate — ``--channel residency|writeback|both``,
 ``--noise L`` for the injector ladder, ``--n-background K`` for cache
-pressure, ``--sweep`` for the channel x platform x noise grid.
+pressure, ``--sweep`` for the channel x platform x noise grid (which
+rejects the single-run ``--channel``, ``--platform``, ``--noise``,
+``--bits`` and ``--out``; ``--report`` writes the sweep's JSON).
 """
 
 from __future__ import annotations
@@ -188,7 +191,9 @@ def _channels(args: argparse.Namespace) -> int:
             print(f"wrote sweep report to {args.report}")
         return 0
 
-    channels = CHANNEL_KINDS if args.channel == "both" else (args.channel,)
+    # The single-run options parse as None (see `_reject_sweep_ignored`).
+    channel = args.channel or "residency"
+    channels = CHANNEL_KINDS if channel == "both" else (channel,)
     for channel in channels:
         out_path, report_path = args.out, args.report
         if len(channels) > 1:
@@ -201,11 +206,11 @@ def _channels(args: argparse.Namespace) -> int:
                 report_path = str(p.with_name(f"{p.stem}-{channel}{p.suffix}"))
         report = run_channel(
             channel,
-            noise=args.noise,
+            noise=0.0 if args.noise is None else args.noise,
             n_background=args.n_background,
-            platform=args.platform,
+            platform=args.platform or "linux22",
             seed=args.seed,
-            n_bits=args.bits,
+            n_bits=48 if args.bits is None else args.bits,
             out_path=out_path,
             report_path=report_path,
         )
@@ -217,6 +222,20 @@ def _channels(args: argparse.Namespace) -> int:
 # ======================================================================
 # Shared plumbing
 # ======================================================================
+def _reject_sweep_ignored(args: argparse.Namespace) -> None:
+    """Exit 2 on an option the subcommand's ``--sweep`` would ignore.
+
+    A sweep renders its own fixed grid, so the single-run options (and
+    the arena's artefact paths) have nothing to act on.  They parse as
+    None so that an explicit value can be told from an absent one.
+    """
+    if getattr(args, "sweep", None) in (None, False):
+        return
+    for flag in args.sweep_ignores:
+        if getattr(args, flag[2:]) is not None:
+            args.usage_error(f"argument {flag}: not allowed with argument --sweep")
+
+
 def _runner_configuration(args: argparse.Namespace):
     return runner.configuration(
         jobs=args.jobs, use_cache=not args.no_cache, cache_dir=args.cache_dir
@@ -339,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     size.add_argument("--n", type=int, help="tenants in one arena run (default 8)")
     size.add_argument(
         "--sweep", metavar="N,N,...",
-        help="contention sweep over these tenant counts (`default`: 1 to 1024)",
+        help="contention sweep over these tenant counts (`default`: 1 to 1024;"
+        " rejects --out and --report)",
     )
     arena.add_argument("--policy", choices=tuple(POLICIES), default="round-robin")
     arena.add_argument("--seed", type=_seed, default=ARENA_SEED)
@@ -349,26 +369,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     arena.add_argument("--out", metavar="FILE", help="attributed obs stream as JSONL")
     arena.add_argument("--report", metavar="FILE", help="report as JSON")
-    arena.set_defaults(handler=_arena)
+    arena.set_defaults(
+        handler=_arena, sweep_ignores=("--out", "--report"), usage_error=arena.error,
+    )
 
     chan = sub.add_parser(
         "channels", help="covert-channel capacity on the multi-tenant arena",
     )
     chan.add_argument(
-        "--channel", choices=(*CHANNEL_KINDS, "both"), default="residency",
+        "--channel", choices=(*CHANNEL_KINDS, "both"), help="(default residency)",
     )
-    chan.add_argument("--platform", choices=sorted(PLATFORMS), default="linux22")
-    chan.add_argument("--noise", type=float, default=0.0, metavar="L")
+    chan.add_argument(
+        "--platform", choices=sorted(PLATFORMS), help="(default linux22)",
+    )
+    chan.add_argument("--noise", type=float, metavar="L", help="(default 0)")
     chan.add_argument("--n-background", type=int, default=0, metavar="K")
-    chan.add_argument("--bits", type=int, default=48, metavar="N")
+    chan.add_argument("--bits", type=int, metavar="N", help="(default 48)")
     chan.add_argument("--seed", type=_seed, default=CHANNELS_SEED)
     chan.add_argument(
         "--sweep", action="store_true",
-        help="full channel x platform x noise grid (ignores --channel etc.)",
+        help="full channel x platform x noise grid (rejects --channel,"
+        " --platform, --noise, --bits and --out)",
     )
     chan.add_argument("--out", metavar="FILE", help="obs stream JSONL path")
     chan.add_argument("--report", metavar="FILE", help="report JSON path")
-    chan.set_defaults(handler=_channels)
+    chan.set_defaults(
+        handler=_channels,
+        sweep_ignores=("--out", "--channel", "--platform", "--noise", "--bits"),
+        usage_error=chan.error,
+    )
     return parser
 
 
@@ -378,6 +407,7 @@ def main(argv: Sequence[str]) -> int:
         args.insert(0, "run")
     try:
         options = _build_parser().parse_args(args)
+        _reject_sweep_ignored(options)
     except SystemExit as exc:  # --help (0) or a usage error (2)
         return int(exc.code or 0)
     return options.handler(options)

@@ -128,13 +128,11 @@ class CachePolicy(ABC):
     # ``replay_token``/``replay`` but is per-page: a *cell* is whatever
     # token lets this policy re-reference one resident page cheaply
     # (clock hands out its frame objects; key-addressed policies use the
-    # key itself).  Cells are identity-stable while the page stays
-    # resident and are invalidated by removal — the memory manager's
-    # residency index drops them alongside its presence bits.
-    def resident_cell(self, key: PageKey) -> Any:
-        """The per-page replay cell for a *resident* key (default: the key)."""
-        return key
-
+    # key itself).  A page's cell is handed out when it is inserted
+    # (:meth:`insert_absent`, :meth:`insert_absent_many`).  Cells are
+    # identity-stable while the page stays resident and are invalidated
+    # by removal — the memory manager's residency index drops them
+    # alongside its presence bits.
     def reference_cells(self, cells: Sequence[Any], dirty: bool = False) -> None:
         """Re-reference resident pages by cell; ≡ ``len(cells)`` touch hits.
 
@@ -148,19 +146,26 @@ class CachePolicy(ABC):
             reference(key, dirty)
         self.stats.hits += len(cells)
 
+    def insert_absent(self, key: PageKey, dirty: bool) -> Any:
+        """Insert one absent page; ≡ a :meth:`touch` miss.  Returns its cell.
+
+        The miss half of a caller that already tried :meth:`touch_cached`:
+        no second membership probe, and no lookup to find the new cell.
+        """
+        self.stats.misses += 1
+        return self._insert(key, dirty)
+
     def insert_absent_many(self, keys: Sequence[PageKey], dirty: bool) -> List[Any]:
         """Insert absent pages as one batch; ≡ ``len(keys)`` touch misses.
 
         Precondition: no key is present and the caller has verified
         capacity (no reclaim may be needed at any intermediate step).
-        Returns the new pages' cells in key order so the caller can
-        register them without ``len(keys)`` :meth:`resident_cell` calls.
+        Returns the new pages' cells in key order.
         """
         insert = self._insert
-        for key in keys:
-            insert(key, dirty)
+        cells = [insert(key, dirty) for key in keys]
         self.stats.misses += len(keys)
-        return list(keys)
+        return cells
 
     def replay_token(self, keys: Sequence[PageKey]) -> Any:
         """An opaque token for O(len)-cheap re-touches of resident keys.
@@ -193,8 +198,11 @@ class CachePolicy(ABC):
         """
 
     @abstractmethod
-    def _insert(self, key: PageKey, dirty: bool) -> None:
-        """Insert an absent page as the most recently used (no stats)."""
+    def _insert(self, key: PageKey, dirty: bool) -> Any:
+        """Insert an absent page as the most recently used (no stats).
+
+        Returns the new page's cell (see the batched update primitives).
+        """
 
     @abstractmethod
     def contains(self, key: PageKey) -> bool:
@@ -225,6 +233,18 @@ class CachePolicy(ABC):
         """
 
     @abstractmethod
+    def flush_oldest_dirty(self, count: int) -> List[PageKey]:
+        """Clean and demote the first ``count`` dirty non-anon pages.
+
+        The bdflush primitive.  Takes the first ``count`` keys of
+        :meth:`keys` that are dirty and not :class:`AnonKey`, then, in
+        that order, applies ``mark_clean(key); demote(key)`` to each, and
+        returns them.  Policies implement it as one walk over their own
+        storage, so a flush costs a flag test per page passed over rather
+        than a hash lookup.
+        """
+
+    @abstractmethod
     def __len__(self) -> int:
         """Number of cached pages."""
 
@@ -239,6 +259,3 @@ class CachePolicy(ABC):
             if self.remove(key):
                 removed += 1
         return removed
-
-    def dirty_keys(self) -> List[PageKey]:
-        return [k for k in self.keys() if self.is_dirty(k)]

@@ -19,7 +19,7 @@ everything but competitors' anonymous memory" semantics.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.sim.cache.base import AnonKey, CachePolicy, PageEntry, PageKey
 
@@ -56,8 +56,10 @@ class ClockPolicy(CachePolicy):
         frame.dirty = frame.dirty or dirty
         return True
 
-    def _insert(self, key: PageKey, dirty: bool) -> None:
-        self._ring_of(key)[key] = _Frame(dirty)
+    def _insert(self, key: PageKey, dirty: bool) -> _Frame:
+        """A page's cell is its frame: identity-stable while resident."""
+        frame = self._ring_of(key)[key] = _Frame(dirty)
+        return frame
 
     def touch_cached_many(self, keys) -> bool:
         """Fused all-or-nothing replay: a clean clock hit sets the bit."""
@@ -72,10 +74,6 @@ class ClockPolicy(CachePolicy):
             frame.referenced = True
         self.stats.hits += len(frames)
         return True
-
-    def resident_cell(self, key: PageKey) -> _Frame:
-        """A page's cell is its frame: identity-stable while resident."""
-        return self._ring_of(key)[key]
 
     def reference_cells(self, cells, dirty: bool = False) -> None:
         """Batched clock hit: a reference-bit store per frame, no hashing."""
@@ -135,6 +133,24 @@ class ClockPolicy(CachePolicy):
             frame.referenced = False
             ring.move_to_end(key, last=False)
             self.stats.demotions += 1
+
+    def flush_oldest_dirty(self, count: int) -> List[PageKey]:
+        """One pass over the file ring (anon pages never sit on it)."""
+        if count <= 0:
+            return []
+        found: List[Tuple[PageKey, _Frame]] = []
+        for key, frame in self._file_ring.items():
+            if frame.dirty:
+                found.append((key, frame))
+                if len(found) >= count:
+                    break
+        move = self._file_ring.move_to_end
+        for key, frame in found:
+            frame.dirty = False
+            frame.referenced = False
+            move(key, last=False)
+        self.stats.demotions += len(found)
+        return [key for key, _frame in found]
 
     @staticmethod
     def _sweep(ring: "OrderedDict[PageKey, _Frame]", victims: List[PageEntry],

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator, List
 
-from repro.sim.cache.base import CachePolicy, PageEntry, PageKey
+from repro.sim.cache.base import AnonKey, CachePolicy, PageEntry, PageKey
 
 
 _ABSENT = object()
@@ -31,8 +31,9 @@ class LRUPolicy(CachePolicy):
         pages[key] = previous or dirty
         return True
 
-    def _insert(self, key: PageKey, dirty: bool) -> None:
+    def _insert(self, key: PageKey, dirty: bool) -> PageKey:
         self._pages[key] = dirty
+        return key
 
     def touch_cached_many(self, keys) -> bool:
         """Fused all-or-nothing replay: a clean LRU hit is move-to-end."""
@@ -105,6 +106,24 @@ class LRUPolicy(CachePolicy):
         if key in self._pages:
             self._pages.move_to_end(key, last=False)
             self.stats.demotions += 1
+
+    def flush_oldest_dirty(self, count: int) -> List[PageKey]:
+        """One pass from the LRU end, skipping anon pages."""
+        if count <= 0:
+            return []
+        found: List[PageKey] = []
+        for key, dirty in self._pages.items():
+            if dirty and not isinstance(key, AnonKey):
+                found.append(key)
+                if len(found) >= count:
+                    break
+        pages = self._pages
+        move = pages.move_to_end
+        for key in found:
+            pages[key] = False
+            move(key, last=False)
+        self.stats.demotions += len(found)
+        return found
 
     def __len__(self) -> int:
         return len(self._pages)

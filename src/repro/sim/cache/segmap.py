@@ -69,9 +69,10 @@ class SegmapPolicy(CachePolicy):
             pages[key] = True
         return True
 
-    def _insert(self, key: PageKey, dirty: bool) -> None:
+    def _insert(self, key: PageKey, dirty: bool) -> PageKey:
         self._pages_of(key)[key] = dirty
         self._count += 1
+        return key
 
     def touch_cached_many(self, keys) -> bool:
         """Fused all-or-nothing replay: a clean segmap hit moves nothing."""
@@ -131,6 +132,27 @@ class SegmapPolicy(CachePolicy):
         if not pages:
             self._forget(owner)
         return True
+
+    def flush_oldest_dirty(self, count: int) -> List[PageKey]:
+        """One pass over the non-anon owners' rows.
+
+        Segmap has no eviction front to demote to, so a flush only
+        clears dirty bits (and counts no demotions).
+        """
+        found: List[Tuple["OrderedDict[PageKey, bool]", PageKey]] = []
+        for owner, pages in self._owners.items():
+            if len(found) >= count:
+                break
+            if owner[0] == "a":
+                continue
+            for key, dirty in pages.items():
+                if dirty:
+                    found.append((pages, key))
+                    if len(found) >= count:
+                        break
+        for pages, key in found:
+            pages[key] = False
+        return [key for _pages, key in found]
 
     def _forget(self, owner: Owner) -> None:
         self._owners.pop(owner, None)

@@ -391,12 +391,11 @@ class FileIO:
         t0 = self.clock.now
         t = t0 + self.config.syscall_overhead_ns
         fs, disk, inode = self.file_of(entry)
-        dirty_blocks: List[int] = []
-        for index in range(len(inode.blocks)):
-            key = FileKey(fs.fs_id, inode.ino, index)
-            if self.mm.file_page_dirty(key):
-                dirty_blocks.append(inode.blocks[index])
-                self.mm.mark_file_clean(key)
+        blocks = inode.blocks
+        dirty_blocks = [
+            blocks[index]
+            for index in self.mm.clean_file_pages(fs.fs_id, inode.ino, len(blocks))
+        ]
         count = len(dirty_blocks)
         t = self.page_cache.write_block_runs(disk, dirty_blocks, t)
         return count, t - t0

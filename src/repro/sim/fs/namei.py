@@ -126,8 +126,7 @@ class NameLayer:
     def meta_read(self, fs: FFS, disk: Disk, block: int, t: int) -> int:
         """Read one metadata block through the cache; returns new time."""
         key = MetaKey(fs.fs_id, block)
-        if self.mm.file_cached(key):
-            self.mm.touch_file(key)
+        if self.mm.touch_file_cached(key):
             return t + self.config.page_copy_ns(128)
         _start, end = disk.access(block, 1, t, self.config.page_size)
         victims = self.mm.touch_file(key)

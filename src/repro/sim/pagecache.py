@@ -125,10 +125,10 @@ class PageCacheManager:
             return end
 
         pending_victims: List[PageEntry] = []
+        touch_cached = mm.touch_file_cached
         for index in indexes:
             key = FileKey(fs.fs_id, inode.ino, index)
-            if mm.file_cached(key):
-                mm.touch_file(key)
+            if touch_cached(key):
                 hits += 1
                 continue
             block = inode.block_of_page(index)
@@ -238,20 +238,16 @@ class PageCacheManager:
         if mm.dirty_file_pages <= limit:
             return t
         target = int(capacity * cfg.dirty_flush_target_frac)
-        need = mm.dirty_file_pages - target
-        keys = mm.oldest_dirty_file_keys(need)
         writes: Dict[int, List[int]] = {}
-        for key in keys:
+        for key in mm.flush_oldest_dirty(mm.dirty_file_pages - target):
             if isinstance(key, FileKey):
                 fs = self._fs_by_id.get(key.fs_id)
                 inode = fs.inodes.get(key.ino) if fs else None
                 if inode is None or key.index >= len(inode.blocks):
-                    mm.writeback_complete(key)
                     continue
                 writes.setdefault(key.fs_id, []).append(inode.blocks[key.index])
             elif isinstance(key, MetaKey):
                 writes.setdefault(key.fs_id, []).append(key.block)
-            mm.writeback_complete(key)
         for fs_id, blocks in writes.items():
             t = self.write_block_runs(self._disk_of_fs[fs_id], blocks, t)
         return t

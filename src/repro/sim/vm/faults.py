@@ -100,12 +100,13 @@ class VMLayer:
             )
         page = region.base_page + page_index
         key = AnonKey(process.pid, page)
+        cfg = self.config
         touched_before = page in space.touched
+        # Only a page touched before can be resident.
+        if touched_before and self.mm.anon_fault_resident(key):
+            return t + cfg.mem_touch_ns
         fault = self.mm.anon_fault(key, touched_before)
         space.touched.add(page)
-        cfg = self.config
-        if fault.kind is FaultKind.RESIDENT:
-            return t + cfg.mem_touch_ns
         t += cfg.fault_overhead_ns
         t = self.page_cache.dispose_victims(fault.evictions, t)
         if fault.kind is FaultKind.ZERO_FILL:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import DISABLED, Observability
 from repro.sim.cache.base import (
@@ -72,6 +72,12 @@ class MemoryManager:
         self.daemon_stats = PageDaemonStats()
         self._anon_resident: Dict[int, int] = {}
         self._dirty_file_pages = 0
+        # Per-(fs_id, ino) indexes of dirty FileKey pages: what fsync
+        # writes back, without walking the file's clean pages.  Updated
+        # at the same transitions as ``_dirty_file_pages`` (MetaKeys are
+        # counted there but not indexed); a file with no dirty page has
+        # no entry.
+        self._dirty_by_file: Dict[Tuple[int, int], Set[int]] = {}
         # Who inserted each resident file/meta page (anon keys carry
         # their pid already).  Host-side attribution metadata, kept only
         # when obs is enabled and a process is current; what lets a
@@ -120,12 +126,14 @@ class MemoryManager:
                     "cache.anon", self._anon_pool.stats
                 )
         # Fault-kind counters are on the page-touch hot path; cache the
-        # instrument references and branch on ``enabled`` directly.
+        # instrument references and branch on ``enabled`` directly.  A
+        # disabled manager never reads them, so it creates none: on the
+        # shared DISABLED instance creating them would register them.
         self._fault_counters = {
             FaultKind.RESIDENT: self.obs.metrics.counter("vm.fault.resident"),
             FaultKind.ZERO_FILL: self.obs.metrics.counter("vm.fault.zero_fill"),
             FaultKind.SWAP_IN: self.obs.metrics.counter("vm.fault.swap_in"),
-        }
+        } if self.obs.enabled else {}
 
     # ------------------------------------------------------------------
     # Capacity / occupancy
@@ -172,17 +180,15 @@ class MemoryManager:
         if len(victims) < shortfall:
             # Pool cannot shrink enough: the machine is truly out of memory.
             for entry in victims:
-                pool.touch(entry.key, entry.dirty)  # undo
-                # Re-inserting allocates fresh cells; the residency
+                # Undo.  Re-inserting allocates fresh cells; the residency
                 # mirrors still carry the pre-eviction ones, so point
                 # them at the new cells before anything replays them.
                 key = entry.key
+                cell = pool.insert_absent(key, entry.dirty)
                 if isinstance(key, AnonKey):
-                    self._anon_index.set(key.pid, key.index, pool.resident_cell(key))
+                    self._anon_index.set(key.pid, key.index, cell)
                 elif isinstance(key, FileKey):
-                    self._file_index.set(
-                        (key.fs_id, key.ino), key.index, pool.resident_cell(key)
-                    )
+                    self._file_index.set((key.fs_id, key.ino), key.index, cell)
             raise OutOfMemory(
                 f"cannot reclaim {shortfall} pages (pool has {len(pool)})"
             )
@@ -207,6 +213,7 @@ class MemoryManager:
                     if entry.dirty:
                         file_written += 1
                         self._dirty_file_pages -= 1
+                        self._forget_dirty(key)
                     else:
                         file_dropped += 1
                 elif isinstance(key, MetaKey):
@@ -255,12 +262,9 @@ class MemoryManager:
     def touch_file_cached(self, key: PageKey) -> bool:
         """Clean reference to an already-cached file page; True on a hit.
 
-        The batched-read fast path.  On a hit, :meth:`touch_file` with
-        ``dirty=False`` reduces to exactly the policy touch — the
-        ``_reclaim`` probe it runs is provably a no-op, because inserts
-        always reclaim the pool back under capacity first — so this skips
-        straight to :meth:`CachePolicy.touch_cached`.  On a miss the
-        caller must take the full :meth:`touch_file` path.
+        Exactly :meth:`touch_file`'s clean hit, minus the call: one
+        :meth:`CachePolicy.touch_cached`.  On a miss nothing changes and
+        the caller must take the full :meth:`touch_file` path.
         """
         return self._file_pool.touch_cached(key)
 
@@ -298,27 +302,58 @@ class MemoryManager:
         Returns eviction work the caller must perform.  The caller is
         responsible for any read I/O needed to *fill* the page; check
         :meth:`file_cached` first to decide.
+
+        A hit is one policy lookup (plus :meth:`CachePolicy.is_dirty`
+        when dirtying) and never reclaims: every insert path reclaims
+        the pool back under capacity first, so a touch that inserts
+        nothing cannot push it over.
         """
-        incoming = 0 if self._file_pool.contains(key) else 1
-        victims = self._reclaim(self._file_pool, self._file_capacity, incoming)
-        if dirty and not self._file_pool.is_dirty(key):
-            self._dirty_file_pages += 1
-        self._file_pool.touch(key, dirty)
-        if incoming:
-            if isinstance(key, FileKey):
-                self._file_index.set(
-                    (key.fs_id, key.ino), key.index,
-                    self._file_pool.resident_cell(key),
-                )
-            if self.obs.enabled:
-                pid = self.obs.current_pid
-                if pid is not None:
-                    self._page_owner[key] = pid
+        pool = self._file_pool
+        if not dirty:
+            if pool.touch_cached(key):
+                return []
+        else:
+            was_dirty = pool.is_dirty(key)
+            if pool.touch_cached(key, True):
+                if not was_dirty:
+                    self._note_dirty(key)
+                return []
+        victims = self._reclaim(pool, self._file_capacity, 1)
+        cell = pool.insert_absent(key, dirty)
+        if dirty:
+            self._note_dirty(key)
+        if isinstance(key, FileKey):
+            self._file_index.set((key.fs_id, key.ino), key.index, cell)
+        if self.obs.enabled:
+            pid = self.obs.current_pid
+            if pid is not None:
+                self._page_owner[key] = pid
         return victims
+
+    def _note_dirty(self, key: PageKey) -> None:
+        """Count a clean → dirty transition of a resident page."""
+        self._dirty_file_pages += 1
+        if isinstance(key, FileKey):
+            file_id = (key.fs_id, key.ino)
+            dirty = self._dirty_by_file.get(file_id)
+            if dirty is None:
+                self._dirty_by_file[file_id] = {key.index}
+            else:
+                dirty.add(key.index)
+
+    def _forget_dirty(self, key: FileKey) -> None:
+        """Drop a FileKey page that stopped being dirty from its file's index."""
+        file_id = (key.fs_id, key.ino)
+        dirty = self._dirty_by_file[file_id]
+        dirty.discard(key.index)
+        if not dirty:
+            del self._dirty_by_file[file_id]
 
     def drop_file_page(self, key: PageKey) -> bool:
         if self._file_pool.is_dirty(key):
             self._dirty_file_pages -= 1
+            if isinstance(key, FileKey):
+                self._forget_dirty(key)
         removed = self._file_pool.remove(key)
         if removed:
             self.file_epoch += 1
@@ -330,32 +365,46 @@ class MemoryManager:
     def mark_file_clean(self, key: PageKey) -> None:
         if self._file_pool.is_dirty(key):
             self._dirty_file_pages -= 1
-        self._file_pool.mark_clean(key)
+            if isinstance(key, FileKey):
+                self._forget_dirty(key)
+            self._file_pool.mark_clean(key)
 
     @property
     def dirty_file_pages(self) -> int:
         return self._dirty_file_pages
 
-    def oldest_dirty_file_keys(self, count: int) -> List[PageKey]:
-        """The first ``count`` dirty file/meta pages in eviction order.
-
-        These are what the bdflush-style throttle writes back; callers
-        then invoke :meth:`writeback_complete` per key.
+    def flush_oldest_dirty(self, count: int) -> List[PageKey]:
+        """bdflush: clean and demote the first ``count`` dirty file/meta
+        pages in eviction order (:meth:`CachePolicy.flush_oldest_dirty`)
+        and return them; the caller writes them to their home blocks.
         """
-        found: List[PageKey] = []
-        for key in self._file_pool.keys():
-            if isinstance(key, AnonKey):
-                continue
-            if self._file_pool.is_dirty(key):
-                found.append(key)
-                if len(found) >= count:
-                    break
-        return found
+        flushed = self._file_pool.flush_oldest_dirty(count)
+        self._dirty_file_pages -= len(flushed)
+        for key in flushed:
+            if isinstance(key, FileKey):
+                self._forget_dirty(key)
+        return flushed
 
-    def writeback_complete(self, key: PageKey) -> None:
-        """Mark a flushed page clean and demote it to recycle first."""
-        self.mark_file_clean(key)
-        self._file_pool.demote(key)
+    def clean_file_pages(self, fs_id: int, ino: int, npages: int) -> List[int]:
+        """fsync: mark one file's dirty pages below ``npages`` clean.
+
+        Returns their indexes in ascending order; the caller writes them
+        back.  Visits only the file's dirty pages, via the per-file index.
+        """
+        file_id = (fs_id, ino)
+        dirty = self._dirty_by_file.get(file_id)
+        if dirty is None:
+            return []
+        indexes = sorted(index for index in dirty if index < npages)
+        if len(indexes) == len(dirty):
+            del self._dirty_by_file[file_id]
+        else:
+            dirty.difference_update(indexes)
+        mark_clean = self._file_pool.mark_clean
+        for index in indexes:
+            mark_clean(FileKey(fs_id, ino, index))
+        self._dirty_file_pages -= len(indexes)
+        return indexes
 
     def file_page_dirty(self, key: PageKey) -> bool:
         return self._file_pool.is_dirty(key)
@@ -366,9 +415,6 @@ class MemoryManager:
             if not isinstance(key, AnonKey):
                 yield key
 
-    def dirty_file_keys(self) -> List[PageKey]:
-        return [k for k in self.file_keys() if self._file_pool.is_dirty(k)]
-
     # ------------------------------------------------------------------
     # Anonymous pages
     # ------------------------------------------------------------------
@@ -378,18 +424,13 @@ class MemoryManager:
         ``touched_before`` comes from the address space: an untouched page
         zero-fills, a touched-but-nonresident page swaps in.
         """
-        enabled = self.obs.enabled
-        if self._anon_pool.contains(key):
-            self._anon_pool.touch(key, dirty=True)
-            if enabled:
-                self._fault_counters[FaultKind.RESIDENT].value += 1
+        if self.anon_fault_resident(key):
             return FaultResult(FaultKind.RESIDENT)
 
+        enabled = self.obs.enabled
         victims = self._reclaim(self._anon_pool, self._anon_capacity, 1)
-        self._anon_pool.touch(key, dirty=True)
-        self._anon_index.set(
-            key.pid, key.index, self._anon_pool.resident_cell(key)
-        )
+        cell = self._anon_pool.insert_absent(key, True)
+        self._anon_index.set(key.pid, key.index, cell)
         self._anon_resident[key.pid] = self._anon_resident.get(key.pid, 0) + 1
 
         if touched_before and self.swap.slot_of(key) is not None:

@@ -12,8 +12,8 @@ run is a single sliced ``.all()`` instead of K dict probes.
 * ``present`` — a ``uint8`` numpy array, 1 where the page is resident in
   the mirrored pool.  Vectorized membership: ``present[a:b:s].all()``.
 * ``cells`` — a Python list of the policy's per-page *replay cells*
-  (see :meth:`repro.sim.cache.base.CachePolicy.resident_cell`), ``None``
-  where absent.  Once a run tests fully present, slicing this list hands
+  (the cell contract in :mod:`repro.sim.cache.base`), ``None`` where
+  absent.  Once a run tests fully present, slicing this list hands
   the policy everything it needs to apply the batch hit — no key
   construction, no hashing.
 

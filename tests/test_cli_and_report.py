@@ -75,6 +75,26 @@ class TestCliContract:
         assert "--jobs" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["arena", "--sweep", "1,2", "--out", "A"], id="arena-sweep-out"),
+        pytest.param(["arena", "--sweep", "1,2", "--report", "B"], id="arena-sweep-report"),
+        pytest.param(["channels", "--sweep", "--out", "c.jsonl"], id="channels-sweep-out"),
+        pytest.param(["channels", "--channel", "writeback", "--sweep"],
+                     id="channels-sweep-channel"),
+        pytest.param(["channels", "--sweep", "--platform", "linux22"],
+                     id="channels-sweep-platform"),
+        pytest.param(["channels", "--sweep", "--noise=0.4"], id="channels-sweep-noise"),
+        pytest.param(["channels", "--sweep", "--bits", "8"], id="channels-sweep-bits"),
+    ])
+    def test_sweep_rejects_options_it_ignores(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        flag = next(a for a in argv[1:] if a.startswith("--") and a != "--sweep")
+        assert main(["repro", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {flag.split('=')[0]}: not allowed with argument --sweep" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_arena_size_and_sweep_are_exclusive(self, capsys):
         assert main(["repro", "arena", "--n", "2", "--sweep", "1,2"]) == 2
         assert "not allowed" in capsys.readouterr().err

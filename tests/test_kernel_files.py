@@ -337,16 +337,24 @@ class TestMetadata:
         assert run(kernel, app()) == "caught"
 
     def test_fsync_writes_back_dirty_pages(self, kernel):
+        page = kernel.config.page_size
+
         def app():
+            other = (yield sc.create("/mnt0/g")).value
+            yield sc.write(other, 64 * page)
             fd = (yield sc.create("/mnt0/f")).value
             yield sc.write(fd, MIB)
             flushed_once = (yield sc.fsync(fd)).value
             flushed_again = (yield sc.fsync(fd)).value
+            flushed_other = (yield sc.fsync(other)).value
             yield sc.close(fd)
-            return flushed_once, flushed_again
-        first, second = run(kernel, app())
-        assert first == MIB // kernel.config.page_size
+            yield sc.close(other)
+            return flushed_once, flushed_again, flushed_other
+        first, second, other = run(kernel, app())
+        assert first == MIB // page
         assert second == 0
+        # The first file's fsync left the other file's pages dirty.
+        assert other == 64
 
 
 class TestDirtyThrottle:

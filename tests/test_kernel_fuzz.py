@@ -29,8 +29,11 @@ from repro.sim import (
     noise_profile,
     syscalls as sc,
 )
-from repro.sim.errors import SimOSError
+from repro.sim.cache.base import AnonKey, FileKey, MetaKey
+from repro.sim.config import linux22, netbsd15, solaris7
+from repro.sim.errors import OutOfMemory, SimOSError
 from repro.sim.inject import horizon_after
+from repro.sim.vm.physmem import MemoryManager
 from tests.conftest import KIB, MIB, small_config
 
 
@@ -103,6 +106,7 @@ def test_chaos_processes_preserve_invariants(seeds, steps):
         mapped = sum(len(inode.blocks) for inode in fs.inodes.values())
         used = sum(cg.data_blocks - cg.free_block_count for cg in fs.groups)
         assert used == mapped
+    assert_dirty_index_matches_pool(mm)
 
 
 @settings(max_examples=15, deadline=None)
@@ -549,7 +553,8 @@ def _policy_dump(policy):
         )
     else:
         state = ("lru", list(policy._pages.items()))
-    return state, policy.stats.hits, policy.stats.misses, len(policy)
+    stats = policy.stats
+    return state, stats.hits, stats.misses, stats.demotions, len(policy)
 
 
 def _fresh_policies():
@@ -571,29 +576,32 @@ def _fresh_policies():
     fresh=st.sets(st.integers(min_value=100, max_value=130), max_size=12),
 )
 def test_policy_batch_equals_sequential_fold(warm, hit_picks, batch_dirty, fresh):
-    """``reference_cells`` == N resident touches and
-    ``insert_absent_many`` == N absent touches, for every policy.
+    """``reference_cells`` == N resident touches,
+    ``insert_absent_many`` == N absent touches, and ``touch_cached``
+    then ``insert_absent`` == one ``touch``, for every policy.
 
     The twin policies see the same warm-up stream; then one applies the
     batched primitives while the other folds the equivalent ``touch``
     loop, and their full state (order, dirty/reference bits, owner
     bookkeeping, hit/miss counters) must match exactly.
     """
-    from repro.sim.cache.base import FileKey
-
     def key_of(i):
         return FileKey(0, 1 + i % 3, i)  # a few distinct owners
 
     for batched, folded in zip(_fresh_policies(), _fresh_policies()):
+        # The batched twin warms through the split primitives (a
+        # ``touch_cached`` hit, else ``insert_absent``), which hands out
+        # each page's cell; the folded twin through ``touch``.
+        cells = {}
         for i, dirty in warm:
-            batched.touch(key_of(i), dirty)
-            folded.touch(key_of(i), dirty)
+            key = key_of(i)
+            if not batched.touch_cached(key, dirty):
+                cells[key] = batched.insert_absent(key, dirty)
+            folded.touch(key, dirty)
 
-        resident = {key for key in batched.keys()}
-        hits = [key_of(i) for i in hit_picks if key_of(i) in resident]
+        hits = [key_of(i) for i in hit_picks if key_of(i) in cells]
         if hits:
-            cells = [batched.resident_cell(key) for key in hits]
-            batched.reference_cells(cells, batch_dirty)
+            batched.reference_cells([cells[key] for key in hits], batch_dirty)
             for key in hits:
                 folded.touch(key, batch_dirty)
 
@@ -613,6 +621,142 @@ def test_policy_batch_equals_sequential_fold(warm, hit_picks, batch_dirty, fresh
             assert [e.key for e in batched.pop_victims(want)] == [
                 e.key for e in folded.pop_victims(want)
             ], type(batched).__name__
+
+
+def _page_key(i):
+    """File, meta and anon keys over a few owners, by index."""
+    kind = i % 3
+    if kind == 0:
+        return FileKey(0, 1 + i % 2, i)
+    if kind == 1:
+        return MetaKey(0, i)
+    return AnonKey(7 + i % 2, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(("touch", "touch", "touch", "demote", "remove", "pop")),
+            st.integers(min_value=0, max_value=40),
+            st.booleans(),
+        ),
+        max_size=60,
+    ),
+    count=st.integers(min_value=0, max_value=12),
+)
+def test_policy_flush_equals_scan_and_fold(ops, count):
+    """``flush_oldest_dirty(n)`` == the scan-and-fold it replaced.
+
+    Twin policies see one warm-up stream of clean and dirty file, meta
+    and anon touches (hits included), demotions, removals and victim
+    pops.  One twin flushes; the other scans :meth:`keys` for the first
+    ``n`` dirty non-anon keys and folds ``mark_clean; demote`` over them.
+    The flushed keys, the full policy state (with the demotion count)
+    and later victim order must all agree.
+    """
+    for flushed, folded in zip(_fresh_policies(), _fresh_policies()):
+        name = type(flushed).__name__
+        for policy in (flushed, folded):
+            for op, i, dirty in ops:
+                key = _page_key(i)
+                if op == "touch":
+                    policy.touch(key, dirty)
+                elif op == "demote":
+                    policy.demote(key)
+                elif op == "remove":
+                    policy.remove(key)
+                else:
+                    policy.pop_victims(1 + i % 3)
+
+        want = [
+            key for key in folded.keys()
+            if not isinstance(key, AnonKey) and folded.is_dirty(key)
+        ][:count]
+        assert flushed.flush_oldest_dirty(count) == want, name
+        for key in want:
+            folded.mark_clean(key)
+            folded.demote(key)
+        assert _policy_dump(flushed) == _policy_dump(folded), name
+        assert flushed.pop_victims(len(flushed)) == folded.pop_victims(len(folded)), name
+
+
+# ---------------------------------------------------------------------------
+# The per-file dirty index mirrors the pool at every step
+# ---------------------------------------------------------------------------
+def assert_dirty_index_matches_pool(mm):
+    """Recompute the memory manager's dirty bookkeeping from its pool.
+
+    Every dirty FileKey page must sit in its ``(fs_id, ino)`` entry of
+    the per-file index (and nothing else may), and ``dirty_file_pages``
+    must count every dirty file and meta page.
+    """
+    pool = mm._file_pool
+    by_file = {}
+    dirty = 0
+    for key in pool.keys():
+        if isinstance(key, AnonKey) or not pool.is_dirty(key):
+            continue
+        dirty += 1
+        if isinstance(key, FileKey):
+            by_file.setdefault((key.fs_id, key.ino), set()).add(key.index)
+    assert mm._dirty_by_file == by_file
+    assert mm.dirty_file_pages == dirty
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ("touch", "touch", "touch", "clean", "drop", "reclaim", "flush",
+                 "fsync", "anon")
+            ),
+            st.integers(min_value=0, max_value=47),
+            st.booleans(),
+        ),
+        max_size=80,
+    ),
+)
+def test_dirty_index_matches_pool_at_every_step(ops):
+    """Every dirty-state transition keeps the per-file index exact, on
+    each personality's pools (unified clock, split LRU, unified segmap)."""
+    for platform in (linux22, netbsd15, solaris7):
+        config = small_config(
+            page_size=64 * KIB, memory_bytes=72 * MIB, kernel_reserved_bytes=2 * MIB,
+            reclaim_batch_pages=4,
+        )
+        mm = MemoryManager(config, platform, swap_capacity_pages=10_000)
+        for step, (op, i, dirty) in enumerate(ops):
+            file_key = FileKey(0, 1 + i % 3, i // 3)
+            key = MetaKey(0, i) if i % 8 == 7 else file_key
+            if op == "touch":
+                mm.touch_file(key, dirty)
+            elif op == "clean":
+                mm.mark_file_clean(key)
+            elif op == "drop":
+                mm.drop_file_page(key)
+            elif op == "reclaim":
+                # Force the page daemon to find 1-5 pages; a nearly empty
+                # pool takes the OutOfMemory undo path instead.
+                pool, capacity = mm._file_pool, mm.file_capacity_pages
+                try:
+                    mm._reclaim(pool, capacity, capacity - len(pool) + 1 + i % 5)
+                except OutOfMemory:
+                    pass
+            elif op == "flush":
+                mm.flush_oldest_dirty(i % 6)
+            elif op == "fsync":
+                mm.clean_file_pages(0, file_key.ino, i % 16)
+            else:
+                mm.anon_fault(AnonKey(9, i), touched_before=dirty)
+            try:
+                assert_dirty_index_matches_pool(mm)
+            except AssertionError as exc:
+                raise AssertionError(
+                    f"{platform.name}: dirty index diverged at step {step}"
+                    f" ({op} {key}): {exc}"
+                ) from exc
 
 
 # ---------------------------------------------------------------------------

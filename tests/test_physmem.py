@@ -82,19 +82,37 @@ class TestFilePages:
         mm.drop_file_page(fkey(0))
         assert mm.dirty_file_pages == 0
 
-    def test_oldest_dirty_keys_in_order(self):
+    def test_flush_takes_oldest_dirty_in_order(self):
         mm = make_mm()
         mm.touch_file(fkey(0), dirty=True)
         mm.touch_file(fkey(1))
         mm.touch_file(fkey(2), dirty=True)
-        assert mm.oldest_dirty_file_keys(5) == [fkey(0), fkey(2)]
+        assert mm.flush_oldest_dirty(5) == [fkey(0), fkey(2)]
 
-    def test_writeback_complete_cleans_and_demotes(self):
+    def test_flush_cleans_and_demotes(self):
         mm = make_mm()
-        mm.touch_file(fkey(0), dirty=True)
-        mm.writeback_complete(fkey(0))
-        assert mm.dirty_file_pages == 0
+        for i in range(3):
+            mm.touch_file(fkey(i), dirty=(i != 1))
+        assert mm.flush_oldest_dirty(1) == [fkey(0)]
+        assert mm.dirty_file_pages == 1
         assert not mm.file_page_dirty(fkey(0))
+        assert mm.file_page_dirty(fkey(2))
+        assert mm.flush_oldest_dirty(1) == [fkey(2)]
+        assert mm.dirty_file_pages == 0
+        # Each flushed page moved to the eviction front, latest first.
+        assert list(mm.file_keys()) == [fkey(2), fkey(0), fkey(1)]
+        assert mm.file_pool_stats().demotions == 2
+
+    def test_clean_file_pages_is_per_file_and_bounded(self):
+        mm = make_mm()
+        for i in (3, 0, 5):
+            mm.touch_file(fkey(i), dirty=True)
+        mm.touch_file(FileKey(0, 2, 0), dirty=True)
+        assert mm.clean_file_pages(0, 1, 5) == [0, 3]
+        assert mm.file_page_dirty(fkey(5))  # at or past the bound
+        assert mm.file_page_dirty(FileKey(0, 2, 0))  # another file
+        assert mm.dirty_file_pages == 2
+        assert mm.clean_file_pages(0, 1, 5) == []
 
     def test_meta_keys_live_in_file_pool(self):
         mm = make_mm()

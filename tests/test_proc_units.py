@@ -195,9 +195,3 @@ class TestCachePolicyHelpers:
             policy.touch(key)
         assert policy.remove_many(keys[:2] + [FileKey(0, 9, 9)]) == 2
         assert len(policy) == 2
-
-    def test_dirty_keys_helper(self):
-        policy = LRUPolicy()
-        policy.touch(FileKey(0, 1, 0), dirty=True)
-        policy.touch(FileKey(0, 1, 1))
-        assert policy.dirty_keys() == [FileKey(0, 1, 0)]
