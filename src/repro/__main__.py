@@ -259,6 +259,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 0, got {text!r}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """A number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"needs a number in [0, 1], got {text!r}")
+    return value
+
+
 def _seed(text: str) -> int:
     """An integer in any base Python accepts (``0xA12E7A``)."""
     return int(text, 0)
@@ -382,9 +403,11 @@ def _build_parser() -> argparse.ArgumentParser:
     chan.add_argument(
         "--platform", choices=sorted(PLATFORMS), help="(default linux22)",
     )
-    chan.add_argument("--noise", type=float, metavar="L", help="(default 0)")
-    chan.add_argument("--n-background", type=int, default=0, metavar="K")
-    chan.add_argument("--bits", type=int, metavar="N", help="(default 48)")
+    chan.add_argument("--noise", type=_fraction, metavar="L", help="(default 0)")
+    chan.add_argument(
+        "--n-background", type=_non_negative_int, default=0, metavar="K",
+    )
+    chan.add_argument("--bits", type=_positive_int, metavar="N", help="(default 48)")
     chan.add_argument("--seed", type=_seed, default=CHANNELS_SEED)
     chan.add_argument(
         "--sweep", action="store_true",

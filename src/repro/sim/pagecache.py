@@ -96,8 +96,10 @@ class PageCacheManager:
         self._fs_by_id = fs_by_id
         self._disk_of_fs = disk_of_fs
         #: Gate for the vectorized run computation in
-        #: :meth:`write_block_runs`; ``Kernel(numpy_paths=False)`` turns
-        #: it off for the scalar-vs-vector differential fuzzer.
+        #: :meth:`write_block_runs` and the page-run fills in
+        #: :meth:`read_file_pages` and :meth:`write_file_pages`;
+        #: ``Kernel(numpy_paths=False)`` turns it off for the
+        #: scalar-vs-vector differential fuzzer.
         self.numpy_paths: bool = True
 
     # ------------------------------------------------------------------
@@ -109,39 +111,54 @@ class PageCacheManager:
         """Bring the given pages into cache; returns (new_time, hit_count).
 
         Contiguous cache misses whose disk blocks are also contiguous are
-        clustered into single disk requests.
+        clustered into single disk requests.  A contiguous range of two
+        or more mapped pages enters the cache through one
+        :meth:`MemoryManager.touch_file_run`; anything else, or every
+        read with ``numpy_paths`` off, touches page by page.
         """
         mm = self.mm
-        hits = 0
-        run_start_block = -1
-        run_len = 0
+        if (
+            self.numpy_paths
+            and type(indexes) is range
+            and indexes.step == 1
+            and len(indexes) >= 2
+            and indexes.stop <= len(inode.blocks)
+        ):
+            hits, missed, victims = mm.touch_file_run(
+                fs.fs_id, inode.ino, indexes.start, indexes.stop
+            )
+            blocks = inode.blocks
+            missed_blocks = [block for a, b in missed for block in blocks[a:b]]
+        else:
+            hits = 0
+            missed_blocks = []
+            victims = []
+            touch_cached = mm.touch_file_cached
+            for index in indexes:
+                key = FileKey(fs.fs_id, inode.ino, index)
+                if touch_cached(key):
+                    hits += 1
+                    continue
+                missed_blocks.append(inode.block_of_page(index))
+                victims.extend(mm.touch_file(key))
+        t = self._read_block_runs(disk, missed_blocks, t)
+        return self.dispose_victims(victims, t), hits
 
-        def flush_run(now: int) -> int:
-            nonlocal run_len, run_start_block
-            if run_len == 0:
-                return now
-            _s, end = disk.access(run_start_block, run_len, now, self.config.page_size)
-            run_len = 0
-            return end
-
-        pending_victims: List[PageEntry] = []
-        touch_cached = mm.touch_file_cached
-        for index in indexes:
-            key = FileKey(fs.fs_id, inode.ino, index)
-            if touch_cached(key):
-                hits += 1
-                continue
-            block = inode.block_of_page(index)
-            if run_len and block == run_start_block + run_len:
+    def _read_block_runs(self, disk: Disk, blocks: List[int], t: int) -> int:
+        """Read ``blocks`` in order, one request per run of consecutive
+        blocks; returns the new time."""
+        page = self.config.page_size
+        run_start = run_len = 0
+        for block in blocks:
+            if run_len and block == run_start + run_len:
                 run_len += 1
-            else:
-                t = flush_run(t)
-                run_start_block = block
-                run_len = 1
-            pending_victims.extend(mm.touch_file(key))
-        t = flush_run(t)
-        t = self.dispose_victims(pending_victims, t)
-        return t, hits
+                continue
+            if run_len:
+                _s, t = disk.access(run_start, run_len, t, page)
+            run_start, run_len = block, 1
+        if run_len:
+            _s, t = disk.access(run_start, run_len, t, page)
+        return t
 
     # ------------------------------------------------------------------
     # Writes
@@ -149,25 +166,45 @@ class PageCacheManager:
     def write_file_pages(
         self, fs: FFS, disk: Disk, inode: Inode, offset: int, nbytes: int, t: int
     ) -> int:
-        """Dirty the pages covering [offset, offset+nbytes) through the cache."""
+        """Dirty the pages covering [offset, offset+nbytes) through the cache.
+
+        A partially written page that is not cached is read first.  With
+        ``numpy_paths`` on, the wholly written pages between a partial
+        head and a partial tail page are dirtied as one
+        :meth:`MemoryManager.touch_file_run` when there are two or more.
+        """
         page = self.config.page_size
+        end = offset + nbytes
         first = offset // page
-        last = (offset + nbytes - 1) // page
+        last = (end - 1) // page
         old_pages = len(inode.blocks)
-        fs.grow_to_size(inode, offset + nbytes)
+        fs.grow_to_size(inode, end)
         fs.rewrite_pages(inode, first, min(last, old_pages - 1))
+        mm = self.mm
+        fs_id, ino = fs.fs_id, inode.ino
         victims: List[PageEntry] = []
-        for index in range(first, last + 1):
-            key = FileKey(fs.fs_id, inode.ino, index)
-            covers_whole = offset <= index * page and (index + 1) * page <= offset + nbytes
-            needs_rmw = (
-                not covers_whole
-                and index < old_pages
-                and not self.mm.file_cached(key)
-            )
-            if needs_rmw:
+
+        def dirty_page(index: int, t: int) -> int:
+            key = FileKey(fs_id, ino, index)
+            covers_whole = offset <= index * page and (index + 1) * page <= end
+            if not covers_whole and index < old_pages and not mm.file_cached(key):
                 t, _ = self.read_file_pages(fs, disk, inode, [index], t)
-            victims.extend(self.mm.touch_file(key, dirty=True))
+            victims.extend(mm.touch_file(key, dirty=True))
+            return t
+
+        # Pages [lo, hi) are written whole; without a run, lo = hi = last + 1.
+        lo = hi = last + 1
+        if self.numpy_paths:
+            lo = first + (offset % page != 0)
+            hi = last + (end % page == 0)
+            if hi - lo < 2:
+                lo = hi = last + 1
+        for index in range(first, lo):
+            t = dirty_page(index, t)
+        if lo < hi:
+            victims.extend(mm.touch_file_run(fs_id, ino, lo, hi, True)[2])
+        for index in range(hi, last + 1):
+            t = dirty_page(index, t)
         return self.dispose_victims(victims, t)
 
     # ------------------------------------------------------------------

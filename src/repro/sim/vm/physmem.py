@@ -330,6 +330,75 @@ class MemoryManager:
                 self._page_owner[key] = pid
         return victims
 
+    def touch_file_run(
+        self, fs_id: int, ino: int, start: int, stop: int, dirty: bool = False
+    ) -> Tuple[int, List[Tuple[int, int]], List[PageEntry]]:
+        """:meth:`touch_file` over pages ``[start, stop)`` of one file, in order.
+
+        Returns ``(hits, missed, victims)``: the resident-page count, the
+        absent pages as ``(a, b)`` spans in page order, and the eviction
+        work.  Pool order and stats, reclaims, victims, ``kernel.reclaim``
+        events, ``file_epoch``, the dirty index and page owners end up
+        exactly as the per-page fold leaves them.  The run is walked in
+        same-state spans of the file's residency bitmap.  A resident
+        span is one :meth:`CachePolicy.reference_cells`.  An absent span
+        is inserted in chunks that fill the pool's free room, with the
+        fold's own ``_reclaim`` call at the page whose miss finds the
+        pool full.  Each chunk's residency, dirty index and owners are
+        recorded before the next reclaim, which may evict them.  A span
+        is read only when the walk reaches it, since a reclaim can also
+        evict later pages of the run.
+        """
+        pool = self._file_pool
+        capacity = self._file_capacity
+        index = self._file_index
+        file_id = (fs_id, ino)
+        pid = self.obs.current_pid if self.obs.enabled else None
+        hits = 0
+        missed: List[Tuple[int, int]] = []
+        victims: List[PageEntry] = []
+        pos = start
+        while pos < stop:
+            end, cells = index.span(file_id, pos, stop)
+            if cells is not None:
+                pool.reference_cells(cells, dirty)
+                hits += end - pos
+                if dirty:
+                    self._note_dirty_run(file_id, pos, end)
+                pos = end
+                continue
+            missed.append((pos, end))
+            while pos < end:
+                room = capacity - len(pool)
+                if room <= 0:
+                    # The fold's next miss finds the pool full.
+                    victims.extend(self._reclaim(pool, capacity, 1))
+                    room = capacity - len(pool)
+                chunk = min(room, end - pos)
+                keys = [FileKey(fs_id, ino, i) for i in range(pos, pos + chunk)]
+                index.register_run(file_id, pos, pool.insert_absent_many(keys, dirty))
+                if dirty:
+                    self._note_dirty_run(file_id, pos, pos + chunk)
+                if pid is not None:
+                    self._page_owner.update(dict.fromkeys(keys, pid))
+                pos += chunk
+        return hits, missed, victims
+
+    def _note_dirty_run(self, file_id: Tuple[int, int], start: int, stop: int) -> None:
+        """Dirty pages ``[start, stop)`` of a file in the index and count.
+
+        The newly dirty count is the index's growth: the index holds
+        exactly the file's dirty resident pages.
+        """
+        dirty = self._dirty_by_file.get(file_id)
+        if dirty is None:
+            self._dirty_by_file[file_id] = set(range(start, stop))
+            self._dirty_file_pages += stop - start
+        else:
+            before = len(dirty)
+            dirty.update(range(start, stop))
+            self._dirty_file_pages += len(dirty) - before
+
     def _note_dirty(self, key: PageKey) -> None:
         """Count a clean → dirty transition of a resident page."""
         self._dirty_file_pages += 1

@@ -31,7 +31,7 @@ do reclaim probes and dict surgery), and zero on the hit paths.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -144,6 +144,33 @@ class ResidencyIndex:
             return None
         cells = slab.cells
         return [cells[i] for i in indexes.tolist()]
+
+    def span(
+        self, owner: Hashable, start: int, stop: int
+    ) -> Tuple[int, Optional[List[Any]]]:
+        """The same-state span of ``[start, stop)`` that begins at ``start``.
+
+        Returns ``(end, cells)``: every page of ``[start, end)`` is
+        resident (``cells`` is their cell list) or every one is absent
+        (``cells`` is None), and ``end`` is as large as that allows.
+        One numpy ``argmin`` (first absent page of a resident span) or
+        ``argmax`` (first resident page of an absent one) finds the end.
+        Requires ``start < stop``.
+        """
+        slab = self._owners.get(owner)
+        if slab is None:
+            return stop, None
+        present = slab.present
+        limit = present.shape[0]
+        if start >= limit:
+            return stop, None
+        view = present[start:min(stop, limit)]
+        if view[0]:
+            change = int(view.argmin())
+            end = start + (change or view.shape[0])
+            return end, slab.cells[start:end]
+        change = int(view.argmax())
+        return (start + change if change else stop), None
 
     def all_absent_run(self, owner: Hashable, start: int, stop: int) -> bool:
         """True when no page of ``[start, stop)`` is resident."""

@@ -95,6 +95,23 @@ class TestCliContract:
         assert f"argument {flag.split('=')[0]}: not allowed with argument --sweep" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["channels", "--bits", "0"], id="bits-zero"),
+        pytest.param(["channels", "--bits", "-3"], id="bits-negative"),
+        pytest.param(["channels", "--n-background", "-1"], id="n-background-negative"),
+        pytest.param(["channels", "--noise", "5"], id="noise-above-one"),
+        pytest.param(["channels", "--noise=-1"], id="noise-negative"),
+        pytest.param(["channels", "--noise", "nan"], id="noise-nan"),
+    ])
+    def test_channels_rejects_out_of_range_values(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        flag = next(a for a in argv[1:] if a.startswith("--")).split("=")[0]
+        assert main(["repro", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {flag}:" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_arena_size_and_sweep_are_exclusive(self, capsys):
         assert main(["repro", "arena", "--n", "2", "--sweep", "1,2"]) == 2
         assert "not allowed" in capsys.readouterr().err

@@ -18,7 +18,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import (
     FaultInjector,
@@ -107,6 +107,7 @@ def test_chaos_processes_preserve_invariants(seeds, steps):
         used = sum(cg.data_blocks - cg.free_block_count for cg in fs.groups)
         assert used == mapped
     assert_dirty_index_matches_pool(mm)
+    assert_residency_matches_pool(mm)
 
 
 @settings(max_examples=15, deadline=None)
@@ -124,12 +125,21 @@ def test_chaos_is_deterministic(seed):
 # ---------------------------------------------------------------------------
 def state_digest(kernel: Kernel) -> str:
     """Hash of everything observable about the machine's final state:
-    the clock, the memory pools, and the full filesystem image."""
+    the clock, the memory pools (full replacement state, so a twin that
+    reorders a ring fails here, not only through later timing), the
+    memory manager's dirty index, page owners and file epoch, and the
+    full filesystem image."""
+    mm = kernel.mm
     parts = [
         f"clock:{kernel.clock.now}",
-        f"filepool:{kernel.mm.file_pool_used()}",
-        f"dirty:{kernel.mm.dirty_file_pages}",
+        f"filepool:{mm.file_pool_used()}",
+        f"dirty:{mm.dirty_file_pages}",
         f"swap:{kernel.oracle.swap_used_slots()}",
+        f"pools:{_policy_dump(mm._file_pool)}",
+        f"anonpool:{_policy_dump(mm._anon_pool) if not mm.unified else ''}",
+        f"dirtyindex:{[(f, sorted(d)) for f, d in mm._dirty_by_file.items()]}",
+        f"owners:{list(mm._page_owner.items())}",
+        f"epoch:{mm.file_epoch}",
     ]
     for fs_id in sorted(kernel._fs_by_id):
         fs = kernel._fs_by_id[fs_id]
@@ -493,6 +503,80 @@ def test_differential_numpy_vs_scalar_paths(noisy):
         )
 
 
+def pressure_workout(seed: int, steps: int, page: int, file_pages: int):
+    """Fills and write-backs under reclaim: a file larger than the page
+    pool, then unaligned multi-page pwrites over existing data (partial
+    head and tail pages, resident or evicted), whole-page pwrites,
+    multi-page preads and reads, fsyncs, pread batches and anon touches."""
+    rng = random.Random(seed)
+    size = file_pages * page
+    fd = (yield sc.create("/mnt0/big.dat")).value
+    yield sc.write(fd, size)
+    region = (yield sc.vm_alloc(32 * page)).value
+    for _ in range(steps):
+        action = rng.randrange(7)
+        offset = rng.randrange(size)
+        nbytes = rng.randrange(1, 24 * page)
+        if action == 0:
+            yield sc.pwrite(fd, offset, nbytes)
+        elif action == 1:
+            yield sc.pwrite(fd, offset - offset % page, (1 + nbytes // page) * page)
+        elif action == 2:
+            yield sc.pread(fd, offset, nbytes)
+        elif action == 3:
+            yield sc.seek(fd, offset)
+            yield sc.read(fd, nbytes)
+        elif action == 4:
+            yield sc.fsync(fd)
+        elif action == 5:
+            yield sc.pread_batch(
+                fd, [(rng.randrange(size), 1 + rng.randrange(3 * page)) for _ in range(10)]
+            )
+        else:
+            yield sc.touch_range(region, rng.randrange(16), 1 + rng.randrange(16))
+    yield sc.close(fd)
+    yield sc.vm_free(region)
+    return "survived"
+
+
+#: Machines whose page pool (1024 pages) is smaller than the workout's
+#: file.  NetBSD's fixed 64 MB buffer cache needs more memory, hence its
+#: 64 KiB pages.
+_PRESSURE_MACHINES = {
+    linux22: small_config(memory_bytes=12 * MIB, kernel_reserved_bytes=8 * MIB),
+    netbsd15: small_config(
+        page_size=64 * KIB, memory_bytes=72 * MIB, kernel_reserved_bytes=2 * MIB
+    ),
+    solaris7: small_config(memory_bytes=12 * MIB, kernel_reserved_bytes=8 * MIB),
+}
+
+
+def _run_pressure_twin(platform, seed: int, numpy_paths: bool):
+    config = _PRESSURE_MACHINES[platform]
+    kernel = Kernel(config, platform, numpy_paths=numpy_paths)
+    workout = pressure_workout(seed, 60, config.page_size, file_pages=1536)
+    assert kernel.run_process(workout, "pressure") == "survived"
+    reclaims = len(kernel.obs.events.by_name("kernel.reclaim"))
+    return kernel.clock.now, state_digest(kernel), obs_digest(kernel), reclaims
+
+
+@pytest.mark.parametrize("platform", [linux22, netbsd15, solaris7], ids=lambda p: p.name)
+def test_differential_numpy_vs_scalar_under_pressure(platform):
+    """The page-run fill paths, and every other vectorized path, match
+    their scalar twins while the pool reclaims: same clock, same pool
+    state (ring order included), dirty index, page owners, file epoch,
+    filesystem image and obs stream."""
+    for case in range(15):
+        seed = 0x9E5 + 613 * case
+        vec = _run_pressure_twin(platform, seed, numpy_paths=True)
+        sca = _run_pressure_twin(platform, seed, numpy_paths=False)
+        assert vec[3] > 0, f"{platform.name} seed={seed}: no reclaim, no pressure"
+        assert vec == sca, (
+            f"numpy/scalar divergence under pressure on {platform.name}: "
+            f"reproduce with seed={seed}"
+        )
+
+
 @pytest.mark.parametrize("numpy_paths", [True, False])
 def test_differential_touch_range_vs_touch_batch(numpy_paths):
     """touch_range must be touch_batch at stride 1 with no predicate:
@@ -554,7 +638,10 @@ def _policy_dump(policy):
     else:
         state = ("lru", list(policy._pages.items()))
     stats = policy.stats
-    return state, stats.hits, stats.misses, stats.demotions, len(policy)
+    return (
+        state, stats.hits, stats.misses, stats.evictions, stats.demotions,
+        len(policy),
+    )
 
 
 def _fresh_policies():
@@ -704,6 +791,55 @@ def assert_dirty_index_matches_pool(mm):
     assert mm.dirty_file_pages == dirty
 
 
+def assert_residency_matches_pool(mm):
+    """Check the numpy residency mirrors against the pools they mirror.
+
+    For every owner in the file and anon indexes, a presence bit is set
+    exactly when its key is in the pool, and a set bit's cell is the
+    policy's own cell for that key: the clock ring's frame (by
+    identity), or the key itself for LRU and segmap.  Every file and
+    anon page in a pool must have its bit set.
+    """
+    from repro.sim.cache.clockpolicy import ClockPolicy
+
+    def own_cell(pool, key):
+        if isinstance(pool, ClockPolicy):
+            return pool._ring_of(key)[key]
+        return key
+
+    mirrors = (
+        (mm._file_index, mm._file_pool, lambda owner, i: FileKey(*owner, i)),
+        (mm._anon_index, mm._anon_pool, AnonKey),
+    )
+    for index, pool, make_key in mirrors:
+        for owner, slab in index._owners.items():
+            for i, bit in enumerate(slab.present.tolist()):
+                key = make_key(owner, i)
+                cell = slab.cells[i]
+                assert bool(bit) == pool.contains(key), (
+                    f"residency bit {bit} for {key}, pool has it: {pool.contains(key)}"
+                )
+                if bit:
+                    expected = own_cell(pool, key)
+                    assert cell is expected or (
+                        not isinstance(pool, ClockPolicy) and cell == expected
+                    ), f"stale cell for {key}: {cell!r}"
+                else:
+                    assert cell is None, f"absent {key} keeps cell {cell!r}"
+    for key in mm._file_pool.keys():
+        if isinstance(key, FileKey):
+            slab = mm._file_index._owners.get((key.fs_id, key.ino))
+            assert slab is not None and slab.present[key.index], (
+                f"resident {key} has no residency bit"
+            )
+    for key in mm._anon_pool.keys():
+        if isinstance(key, AnonKey):
+            slab = mm._anon_index._owners.get(key.pid)
+            assert slab is not None and slab.present[key.index], (
+                f"resident {key} has no residency bit"
+            )
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     ops=st.lists(
@@ -752,11 +888,130 @@ def test_dirty_index_matches_pool_at_every_step(ops):
                 mm.anon_fault(AnonKey(9, i), touched_before=dirty)
             try:
                 assert_dirty_index_matches_pool(mm)
+                assert_residency_matches_pool(mm)
             except AssertionError as exc:
                 raise AssertionError(
-                    f"{platform.name}: dirty index diverged at step {step}"
+                    f"{platform.name}: a mirror diverged at step {step}"
                     f" ({op} {key}): {exc}"
                 ) from exc
+
+
+# ---------------------------------------------------------------------------
+# touch_file_run == the per-page touch_file fold, reclaims included
+# ---------------------------------------------------------------------------
+def _run_twin_config():
+    """Pools of 16-17 pages (4 MiB pages; NetBSD's fixed 64 MB buffer
+    cache is 16 of them) with 4-page reclaim batches, so one run crosses
+    several reclaims."""
+    return small_config(
+        page_size=4 * MIB, memory_bytes=72 * MIB, kernel_reserved_bytes=2 * MIB,
+        reclaim_batch_pages=4,
+    )
+
+
+_RUN_OWNER_PID = 5
+
+#: Warm-ups that make a run's reclaims evict its own later pages: the
+#: run's file holds the pages the LRU end or clock hand reaches first,
+#: or (segmap) it is the newest owner, whose newest pages go first.
+_EVICTS_LATER_RUN_PAGES = (
+    [("touch", 1, 8, 8, False), ("touch", 2, 0, 8, True)],
+    [("touch", 2, 0, 8, True), ("touch", 1, 8, 9, False)],
+)
+
+
+def _run_twin_warm(mm, ops):
+    """One random warm-up: clean/dirty touches of file-page runs and meta
+    pages, drops, anon faults and forced reclaims, under a current pid."""
+    mm.obs.set_pid(_RUN_OWNER_PID)
+    for op, ino, page, count, dirty in ops:
+        if op == "touch":
+            for index in range(page, page + count):
+                mm.touch_file(FileKey(0, ino, index), dirty)
+        elif op == "meta":
+            mm.touch_file(MetaKey(0, page), dirty)
+        elif op == "drop":
+            mm.drop_file_page(FileKey(0, ino, page))
+        elif op == "anon":
+            mm.anon_fault(AnonKey(9, page), touched_before=dirty)
+        else:
+            pool, capacity = mm._file_pool, mm.file_capacity_pages
+            try:
+                mm._reclaim(pool, capacity, capacity - len(pool) + count)
+            except OutOfMemory:
+                pass
+    mm.obs.set_pid(_RUN_OWNER_PID + 1)
+
+
+def _mm_twin_state(mm):
+    return (
+        _policy_dump(mm._file_pool),
+        mm.daemon_stats.as_dict(),
+        mm.file_epoch,
+        list(mm._page_owner.items()),
+        [r["attrs"] for r in mm.obs.events.by_name("kernel.reclaim")],
+        mm.dirty_file_pages,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(("touch", "touch", "meta", "drop", "anon", "reclaim")),
+            st.integers(min_value=1, max_value=2),
+            st.integers(min_value=0, max_value=60),
+            st.integers(min_value=1, max_value=8),
+            st.booleans(),
+        ),
+        max_size=40,
+    ),
+    ino=st.integers(min_value=1, max_value=2),
+    start=st.integers(min_value=0, max_value=40),
+    length=st.integers(min_value=1, max_value=48),
+    dirty=st.booleans(),
+)
+@example(ops=_EVICTS_LATER_RUN_PAGES[0], ino=1, start=0, length=16, dirty=False)
+@example(ops=_EVICTS_LATER_RUN_PAGES[0], ino=1, start=0, length=16, dirty=True)
+@example(ops=_EVICTS_LATER_RUN_PAGES[1], ino=1, start=0, length=17, dirty=False)
+@example(ops=_EVICTS_LATER_RUN_PAGES[1], ino=1, start=0, length=17, dirty=True)
+def test_file_run_equals_per_page_fold(ops, ino, start, length, dirty):
+    """``touch_file_run`` over ``[start, stop)`` is the ``touch_file``
+    fold over the same pages, on every personality: same victims (keys,
+    dirty flags, order), hits and misses, pool state and evictions,
+    daemon stats, file epoch, page owners, reclaim events, and dirty and
+    residency mirrors."""
+    from repro.obs import Observability
+
+    stop = start + length
+    for platform in (linux22, netbsd15, solaris7):
+        config = _run_twin_config()
+        run_mm, fold_mm = (
+            MemoryManager(config, platform, 10_000, obs=Observability())
+            for _ in range(2)
+        )
+        for mm in (run_mm, fold_mm):
+            _run_twin_warm(mm, ops)
+
+        hits, missed, victims = run_mm.touch_file_run(0, ino, start, stop, dirty)
+
+        fold_hits, fold_missed, fold_victims = 0, [], []
+        for index in range(start, stop):
+            key = FileKey(0, ino, index)
+            if not fold_mm.file_cached(key):
+                fold_missed.append(index)
+            else:
+                fold_hits += 1
+            fold_victims.extend(fold_mm.touch_file(key, dirty))
+
+        name = platform.name
+        assert victims == fold_victims, name
+        assert hits == fold_hits, name
+        assert [i for a, b in missed for i in range(a, b)] == fold_missed, name
+        assert _mm_twin_state(run_mm) == _mm_twin_state(fold_mm), name
+        for mm in (run_mm, fold_mm):
+            assert_dirty_index_matches_pool(mm)
+            assert_residency_matches_pool(mm)
 
 
 # ---------------------------------------------------------------------------
