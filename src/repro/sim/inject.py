@@ -51,7 +51,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.sim.clock import MICROS, MILLIS, SECONDS
 from repro.sim.dispatch import BLOCK, Handler, SyscallTable
@@ -146,6 +148,14 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# _splitmix64's constants as numpy scalars, for block draws.
+_U64_GOLDEN = np.uint64(_GOLDEN)
+_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(b) for b in (11, 27, 30, 31))
+_2_POW_MINUS_53 = 1.0 / float(1 << 53)
+
+
 class _Stream:
     """One counter-indexed random stream: draw k is splitmix64(base+k)."""
 
@@ -163,6 +173,26 @@ class _Stream:
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 bits of the draw."""
         return (self.next_u64() >> 11) / float(1 << 53)
+
+    def peek_floats(self, n: int) -> np.ndarray:
+        """The next ``n`` :meth:`next_float` values, without consuming them.
+
+        Draw k depends only on ``base`` and ``counter + k``, so a block
+        can be drawn ahead.  numpy's uint64 arithmetic wraps mod 2**64
+        exactly as the scalar ``& _MASK64`` masks do, and
+        ``(x >> 11) * 2**-53`` is exact in float64, so element k is
+        bit-identical to the k-th sequential draw.
+        """
+        x = np.arange(self.counter, self.counter + n, dtype=np.uint64)
+        x *= _U64_GOLDEN
+        x += np.uint64((self.base + _GOLDEN) & _MASK64)
+        x ^= x >> _U64_30
+        x *= _U64_MIX1
+        x ^= x >> _U64_27
+        x *= _U64_MIX2
+        x ^= x >> _U64_31
+        x >>= _U64_11
+        return x * _2_POW_MINUS_53
 
 
 # ======================================================================
@@ -186,6 +216,12 @@ class LatencyNoise:
     granularity_ns: int = 0
 
     def __post_init__(self) -> None:
+        # Simulated time is integer nanoseconds (repro.sim.clock): a
+        # float or bool duration would leak into the clock.
+        for name in ("jitter_ns", "spike_ns", "granularity_ns"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int (nanoseconds), got {value!r}")
         if self.jitter_ns < 0 or self.spike_ns < 0 or self.granularity_ns < 0:
             raise ValueError("latency noise durations must be >= 0")
         if not 0.0 <= self.spike_prob <= 1.0:
@@ -514,11 +550,78 @@ class FaultInjector:
         """
         return self._noisy_ns("probe", kind, elapsed_ns)
 
-    def _noisy_ns(self, domain: str, kind: str, elapsed_ns: int) -> int:
+    def probe_noise_block(
+        self, kind: str, elapsed_ns: int, n: int
+    ) -> Optional[Tuple[np.ndarray, Callable[[int], None]]]:
+        """``n`` sequential :meth:`probe_elapsed` calls, drawn as one block.
+
+        Returns ``None`` when the family draws nothing (the probes keep
+        ``elapsed_ns``).  Otherwise returns ``(times, commit)``:
+        ``times[i]`` (int64) is what the i-th of ``n`` sequential
+        ``probe_elapsed(kind, elapsed_ns)`` calls would return — same
+        draws in the same order, same truncation and tick — and
+        ``commit(k)`` applies exactly the first ``k`` calls' side
+        effects (stream counter, spike schedule and counters, jitter
+        total).  Nothing changes until ``commit``, so a caller can
+        read the times, decide how many probes it keeps, and commit
+        only those.
+        """
+        latency = self._latency_for(kind)
+        if latency is None:
+            return None
+        stream = self._stream("probe", kind)
+        jitter = bool(latency.jitter_ns)
+        spikes = bool(latency.spike_prob and latency.spike_ns)
+        per_call = jitter + spikes
+        draws = stream.peek_floats(per_call * n)
+        if jitter:
+            times = (draws[0::per_call] * latency.jitter_ns).astype(np.int64)
+            times += elapsed_ns
+        else:
+            times = np.full(n, elapsed_ns, dtype=np.int64)
+        spike_calls: List[int] = []
+        if spikes:
+            spiked = np.flatnonzero(draws[per_call - 1::per_call] < latency.spike_prob)
+            if spiked.size:
+                times[spiked] += latency.spike_ns
+                spike_calls = spiked.tolist()
+        if latency.granularity_ns:
+            tick = latency.granularity_ns
+            times = -(-times // tick) * tick
+        first = stream.counter
+        spike_ns = latency.spike_ns
+
+        def commit(k: int) -> None:
+            stream.counter = first + per_call * k
+            # A spike is scheduled at the counter just past call i's draws.
+            for i in spike_calls:
+                if i >= k:
+                    break
+                self._note_spike(kind, first + per_call * (i + 1), spike_ns)
+            self.jitter_total_ns += int(times[:k].sum()) - k * elapsed_ns
+
+        return times, commit
+
+    def _latency_for(self, kind: str) -> Optional[LatencyNoise]:
+        """The noise a ``kind`` observation draws; ``None`` when inactive."""
         latency = self.config.latency
         if kind == "touch" and self.config.touch_latency is not None:
             latency = self.config.touch_latency
         if latency is None or not latency.active:
+            return None
+        return latency
+
+    def _note_spike(self, kind: str, index: int, spike_ns: int) -> None:
+        self.spikes_injected += 1
+        self.schedule.append(("spike", kind, index, spike_ns))
+        obs = self._obs
+        if obs is not None:
+            obs.count("inject.spike")
+            obs.count(f"inject.spike.{kind}")
+
+    def _noisy_ns(self, domain: str, kind: str, elapsed_ns: int) -> int:
+        latency = self._latency_for(kind)
+        if latency is None:
             return elapsed_ns
         stream = self._stream(domain, kind)
         extra = 0
@@ -527,12 +630,7 @@ class FaultInjector:
         if latency.spike_prob and latency.spike_ns:
             if stream.next_float() < latency.spike_prob:
                 extra += latency.spike_ns
-                self.spikes_injected += 1
-                self.schedule.append(("spike", kind, stream.counter, latency.spike_ns))
-                obs = self._obs
-                if obs is not None:
-                    obs.count("inject.spike")
-                    obs.count(f"inject.spike.{kind}")
+                self._note_spike(kind, stream.counter, latency.spike_ns)
         total = elapsed_ns + extra
         if latency.granularity_ns:
             tick = latency.granularity_ns

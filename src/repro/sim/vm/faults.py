@@ -15,7 +15,9 @@ path on unified-VM platforms.
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
+
+import numpy as np
 
 from repro.obs.profile import PROFILER
 from repro.sim.cache.base import AnonKey
@@ -47,9 +49,10 @@ class VMLayer:
         self.swap_disk = swap_disk
         self.page_cache = page_cache
         #: Optional fault injector (repro.sim.inject.FaultInjector); when
-        #: set, per-touch elapsed times pass through ``probe_elapsed`` so
-        #: batched and sequential touches observe one noise stream (and
-        #: the batch's early-stop predicate sees the noisy time, exactly
+        #: set, per-touch elapsed times pass through ``probe_elapsed`` (a
+        #: vector run draws them as one ``probe_noise_block``) so batched
+        #: and sequential touches observe one noise stream (and the
+        #: batch's early-stop predicate sees the noisy time, exactly
         #: like the user-space sequential loop would).
         self.inject: Optional[Any] = None
         #: Gate for the vectorized run paths (numpy membership tests +
@@ -129,9 +132,9 @@ class VMLayer:
 
         Routing through the batch interior (rather than a bare
         ``touch_one`` loop) gives touch_range the same resident fast
-        check and, when the injector is inert, the same vectorized run
-        paths — it previously re-walked the full per-page fault path at
-        tens of host-milliseconds per warm-up call.
+        check and the same vectorized run path — it previously
+        re-walked the full per-page fault path at tens of
+        host-milliseconds per warm-up call.
         """
         if npages <= 0:
             raise InvalidArgument("touch_range needs a positive page count")
@@ -186,21 +189,17 @@ class VMLayer:
     ):
         """Shared touch interior; returns ``(per_page_times, stopped, total)``.
 
-        Three tiers, each bit-identical in simulated time and pool state
-        to the scalar loop below it:
+        Two paths, bit-identical in simulated time, pool state, obs
+        records and injector schedule:
 
-        1. **Vectorized resident run** — every page of the strided run
-           is resident (one numpy membership test): charge
-           ``mem_touch_ns`` per page and apply one batched policy
-           update.  Valid only when no touch can exceed the early-stop
-           threshold, so the predicate provably never trips.
-        2. **Vectorized zero-fill run** — a contiguous, never-touched
-           run the pool can absorb without reclaiming: one batched
-           insert, ``fault_overhead + page_zero`` per page.
-        3. **Scalar loop** — everything else (mixed runs, swap-ins,
-           reclaim pressure, an active injector, predicate-visible slow
-           touches): the resident fast check per page, ``touch_one``
-           for real faults, noise and early-stop applied per touch.
+        1. **Vector run** (:meth:`_vector_run`) — an in-bounds strided
+           run that is all resident, or a stride-1 run no page of which
+           was ever touched, with or without touch noise.
+        2. **Scalar loop** — everything else (mixed runs, swap-ins,
+           reclaim pressure, out-of-bounds runs, ``numpy_paths=False``):
+           the resident fast check per page, ``touch_one`` for real
+           faults, noise and early-stop applied per touch.  It is the
+           reference the vector run is fuzzed against.
         """
         t0 = self.clock.now
         space = process.address_space
@@ -208,44 +207,21 @@ class VMLayer:
         last_index = start_page + ((npages - 1) // stride) * stride
         in_bounds = 0 <= start_page and last_index < region.npages
         base_page = region.base_page
+        if in_bounds and self.numpy_paths:
+            run = self._vector_run(
+                process, base_page + start_page, (npages - 1) // stride + 1,
+                stride, threshold_ns, slow_count, slow_window,
+            )
+            if run is not None:
+                return run
+
         cfg = self.config
         mem_touch_ns = cfg.mem_touch_ns
         pid = process.pid
         inject = self.inject
-
-        if inject is None and in_bounds and self.numpy_paths:
-            # Tier 1: the whole strided run is resident.  Guard the
-            # early-stop predicate: a resident touch costs exactly
-            # mem_touch_ns, so with mem_touch_ns <= threshold no
-            # observation can be slow and the predicate cannot trip.
-            if threshold_ns is None or mem_touch_ns <= threshold_ns:
-                count = self.mm.touch_anon_resident_run(
-                    pid, base_page + start_page, base_page + last_index + 1, stride
-                )
-                if count:
-                    return [mem_touch_ns] * count, False, count * mem_touch_ns
-            # Tier 2: a fresh contiguous run (no page ever touched, so
-            # zero-fill faults with no swap slots) the pool can take
-            # without evicting at any intermediate step.
-            zero_ns = cfg.fault_overhead_ns + cfg.page_zero_ns
-            if (
-                stride == 1
-                and (threshold_ns is None or zero_ns <= threshold_ns)
-                and space.touched.isdisjoint(
-                    range(base_page + start_page, base_page + start_page + npages)
-                )
-                and self.mm.anon_zero_fill_run(
-                    pid, base_page + start_page, base_page + start_page + npages
-                )
-            ):
-                space.touched.update(
-                    range(base_page + start_page, base_page + start_page + npages)
-                )
-                return [zero_ns] * npages, False, npages * zero_ns
-
-        # Tier 3: the scalar loop.  Fast path for the resident case
-        # (MAC's verify loops re-touch pages that are overwhelmingly
-        # still resident): skip the per-page region lookup/bounds check
+        # The scalar loop.  Fast path for the resident case (MAC's
+        # verify loops re-touch pages that are overwhelmingly still
+        # resident): skip the per-page region lookup/bounds check
         # — validated once for the whole strided range above — and the
         # FaultResult allocation.  Any fault that needs real work falls
         # back to ``touch_one``.
@@ -288,6 +264,89 @@ class VMLayer:
                     stopped = True
                     break
         return times, stopped, t - t0
+
+    def _vector_run(
+        self,
+        process: Process,
+        first: int,
+        count: int,
+        stride: int,
+        threshold_ns: Optional[int],
+        slow_count: int,
+        slow_window: int,
+    ):
+        """Touch ``count`` pages from absolute page ``first`` as one run.
+
+        Qualifies when every page is resident (each costs
+        ``mem_touch_ns``; their cells come from the anon residency
+        mirror) or, at stride 1, when no page was ever touched (each
+        zero-fills for ``fault_overhead_ns + page_zero_ns``).  Per-page
+        times are that base, or the injector's ``touch`` noise block.
+        The early-stop predicate runs over them before anything is
+        touched, so only the kept pages are faulted — one
+        ``reference_cells`` or one ``anon_zero_fill_run`` — and the
+        noise is committed last.  Returns ``None``, with nothing
+        mutated, when the run does not qualify or the pool cannot take
+        the zero-fill without reclaiming.
+        """
+        mm = self.mm
+        cfg = self.config
+        pid = process.pid
+        touched = process.address_space.touched
+        cells = mm.anon_resident_cells(pid, first, first + (count - 1) * stride + 1, stride)
+        if cells is not None:
+            base_ns = cfg.mem_touch_ns
+        elif stride == 1 and touched.isdisjoint(range(first, first + count)):
+            base_ns = cfg.fault_overhead_ns + cfg.page_zero_ns
+        else:
+            return None
+        noise = None
+        if self.inject is not None:
+            noise = self.inject.probe_noise_block("touch", base_ns, count)
+        kept, stopped = count, False
+        # Without noise every probe costs base_ns: none can be slow
+        # unless the base is.
+        if threshold_ns is not None and (noise is not None or base_ns > threshold_ns):
+            # Probes are ``stride`` pages apart and the window counts
+            # page indexes, so it spans ceil(slow_window / stride) probes.
+            kept, stopped = _early_stop(
+                np.full(count, base_ns, dtype=np.int64) if noise is None else noise[0],
+                threshold_ns, slow_count, -(-slow_window // stride),
+            )
+        if cells is not None:
+            mm.touch_anon_cells(cells[:kept])
+        elif mm.anon_zero_fill_run(pid, first, first + kept):
+            touched.update(range(first, first + kept))
+        else:
+            return None
+        if noise is None:
+            return [base_ns] * kept, stopped, base_ns * kept
+        times, commit = noise
+        commit(kept)
+        times = times[:kept]
+        return times.tolist(), stopped, int(times.sum())
+
+
+def _early_stop(
+    times: np.ndarray, threshold_ns: int, slow_count: int, window: int
+) -> Tuple[int, bool]:
+    """MAC's windowed early-stop predicate over a batch's probe times.
+
+    Probe i is slow when ``times[i] > threshold_ns``.  The batch stops
+    right after the first slow probe that has at least ``slow_count``
+    slow probes among the ``window`` probes ending at it.  Returns
+    ``(kept, stopped)``: how many probes the batch keeps, and whether
+    the predicate tripped.
+    """
+    slow = times > threshold_ns
+    if not slow.any():
+        return times.shape[0], False
+    recent = np.cumsum(slow)
+    recent[window:] -= recent[:-window].copy()
+    trips = np.flatnonzero(slow & (recent >= slow_count))
+    if trips.size == 0:
+        return times.shape[0], False
+    return int(trips[0]) + 1, True
 
 
 __all__ = ["VMLayer"]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import DISABLED, Observability
 from repro.sim.cache.base import (
@@ -527,28 +527,29 @@ class MemoryManager:
     def anon_resident(self, key: AnonKey) -> bool:
         return self._anon_pool.contains(key)
 
-    def touch_anon_resident_run(
+    def anon_resident_cells(
         self, pid: int, start: int, stop: int, step: int = 1
-    ) -> int:
-        """Bulk RESIDENT-case fault over a strided page run.
+    ) -> Optional[List[Any]]:
+        """Cells of the strided run ``range(start, stop, step)`` iff all resident.
 
-        When every page of ``range(start, stop, step)`` (absolute page
-        numbers) is resident, dirty-touch them all — pool state, hit
-        counts, and the fault counter exactly as that many
-        :meth:`anon_fault_resident` calls in order — and return the page
-        count.  Returns 0 (nothing mutated) when any page is absent,
-        sending the caller down the scalar fault path.  The membership
-        test is one numpy slice, the touch one
+        Pages are absolute page numbers.  One numpy slice of the anon
+        residency mirror; nothing is touched.  ``None`` when any page is
+        absent.  Pass (a prefix of) the result to
+        :meth:`touch_anon_cells` to fault the pages in.
+        """
+        return self._anon_index.cells_if_all_present(pid, start, stop, step)
+
+    def touch_anon_cells(self, cells: Sequence[Any]) -> None:
+        """Bulk RESIDENT-case fault over pages given by their cells.
+
+        Pool state, hit counts, and the fault counter end exactly as
+        ``len(cells)`` :meth:`anon_fault_resident` calls in order leave
+        them: one
         :meth:`~repro.sim.cache.base.CachePolicy.reference_cells` call.
         """
-        cells = self._anon_index.cells_if_all_present(pid, start, stop, step)
-        if cells is None:
-            return 0
         self._anon_pool.reference_cells(cells, True)
-        count = len(cells)
         if self.obs.enabled:
-            self._fault_counters[FaultKind.RESIDENT].value += count
-        return count
+            self._fault_counters[FaultKind.RESIDENT].value += len(cells)
 
     def anon_zero_fill_run(self, pid: int, start: int, stop: int) -> bool:
         """Bulk ZERO_FILL: insert ``[start, stop)`` as one batch.

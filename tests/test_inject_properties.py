@@ -11,7 +11,8 @@ through the parallel trial runner: ``--jobs N`` must not change a bit.
 
 import json
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments import runner
 from repro.experiments.robustness import (
@@ -118,6 +119,99 @@ def test_different_injection_seeds_draw_different_streams(config, seed):
         theirs._stream("fault", "stat").next_float() for _ in range(64)
     ]
     assert ours_draws != theirs_draws, f"seed={config.seed}"
+
+
+def _spike_counters(kernel: Kernel):
+    return {
+        sample["name"]: sample["value"]
+        for sample in kernel.obs.metrics.collect()
+        if sample["name"].startswith("inject.spike")
+    }
+
+
+def _stream_counters(injector: FaultInjector):
+    """Draws consumed per stream (a stream never drawn from counts as absent)."""
+    return {
+        key: stream.counter
+        for key, stream in injector._streams.items()
+        if stream.counter
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 48),
+    latency=st.none() | latency_specs,
+    touch_latency=st.none() | latency_specs,
+    kind=st.sampled_from(["touch", "pread"]),
+    elapsed_ns=st.integers(min_value=0, max_value=10 * MILLIS),
+    warmup=st.integers(min_value=0, max_value=20),
+    n=st.integers(min_value=1, max_value=300),
+    k=st.integers(min_value=0, max_value=300),
+)
+# An inactive family draws nothing, whichever config makes it inactive.
+@example(seed=1, latency=None, touch_latency=None, kind="pread",
+         elapsed_ns=150, warmup=3, n=8, k=8)
+@example(seed=2, latency=LatencyNoise(), touch_latency=None, kind="touch",
+         elapsed_ns=150, warmup=3, n=8, k=4)
+@example(seed=3, latency=LatencyNoise(jitter_ns=100),
+         touch_latency=LatencyNoise(), kind="touch",
+         elapsed_ns=150, warmup=3, n=8, k=4)
+@example(seed=4, latency=None, touch_latency=LatencyNoise(jitter_ns=100),
+         kind="pread", elapsed_ns=150, warmup=3, n=8, k=4)
+def test_block_draws_equal_sequential_draws(
+    seed, latency, touch_latency, kind, elapsed_ns, warmup, n, k
+):
+    """A probe-noise block is ``n`` sequential ``probe_elapsed`` calls
+    drawn ahead: the same times, and ``commit(k)`` leaves exactly the
+    stream counters, spike schedule, stats and obs spike counters that
+    ``k`` sequential calls leave."""
+    k = min(k, n)
+    config = InjectionConfig(seed=seed, latency=latency, touch_latency=touch_latency)
+
+    reference = FaultInjector(config)._stream("probe", kind)
+    for _ in range(warmup):
+        reference.next_float()
+    peeked = reference.peek_floats(n)
+    assert reference.counter == warmup
+    assert peeked.tolist() == [reference.next_float() for _ in range(n)]
+
+    ours, twin = FaultInjector(config), FaultInjector(config)
+    our_kernel, twin_kernel = Kernel(small_config()), Kernel(small_config())
+    ours.install(our_kernel)
+    twin.install(twin_kernel)
+    # Start mid-stream: nonzero counters, schedule and totals.
+    for _ in range(warmup):
+        ours.probe_elapsed(kind, elapsed_ns)
+        twin.probe_elapsed(kind, elapsed_ns)
+    block = ours.probe_noise_block(kind, elapsed_ns, n)
+    family = touch_latency if kind == "touch" and touch_latency is not None else latency
+    if family is None or not family.active:
+        assert block is None
+        assert ours._streams == {}
+        assert twin.probe_elapsed(kind, elapsed_ns) == elapsed_ns
+        assert twin._streams == {} and twin.stats() == ours.stats()
+        return
+    assert block is not None
+    times, commit = block
+    commit(k)
+    expected = [twin.probe_elapsed(kind, elapsed_ns) for _ in range(k)]
+    assert times[:k].tolist() == expected
+    assert _stream_counters(ours) == _stream_counters(twin)
+    assert ours.schedule == twin.schedule
+    assert ours.stats() == twin.stats()
+    assert _spike_counters(our_kernel) == _spike_counters(twin_kernel)
+    expected += [twin.probe_elapsed(kind, elapsed_ns) for _ in range(n - k)]
+    assert times.tolist() == expected
+
+
+@pytest.mark.parametrize("field", ["jitter_ns", "spike_ns", "granularity_ns"])
+@pytest.mark.parametrize("value", [1e6, 2.5e3, 0.0, True, False])
+def test_latency_noise_rejects_non_int_durations(field, value):
+    """Simulated time is integer nanoseconds: a float duration (or a
+    bool posing as 0/1) would leak into the clock."""
+    with pytest.raises(ValueError, match=field):
+        LatencyNoise(**{field: value})
 
 
 def _fldc_specs():

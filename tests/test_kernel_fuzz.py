@@ -227,6 +227,10 @@ def probe_process(seed: int, steps: int, batch: bool, page: int = 4 * KIB):
     return "survived"
 
 
+TOUCH_JITTER_NS = 80
+TOUCH_SPIKE_NS = 50_000
+
+
 def _probe_jitter_config(seed: int) -> InjectionConfig:
     """Latency-only noise: faults and scheduler jitter are keyed per
     *syscall*, which batched and sequential forms issue in different
@@ -239,7 +243,12 @@ def _probe_jitter_config(seed: int) -> InjectionConfig:
             spike_ns=4 * MILLIS,
             granularity_ns=5_000,
         ),
-        touch_latency=LatencyNoise(jitter_ns=80, spike_prob=0.01, spike_ns=50_000),
+        touch_latency=LatencyNoise(
+            jitter_ns=TOUCH_JITTER_NS,
+            spike_prob=0.01,
+            spike_ns=TOUCH_SPIKE_NS,
+            granularity_ns=25,
+        ),
     )
 
 
@@ -428,17 +437,33 @@ def obs_digest(kernel: Kernel) -> str:
     return hashlib.sha256(repr(list(kernel.obs.events)).encode()).hexdigest()
 
 
+def _touch_threshold(rng: random.Random) -> int:
+    """An early-stop threshold in one of four bands around the touch costs."""
+    cfg = small_config()
+    zero_fill_ns = cfg.fault_overhead_ns + cfg.page_zero_ns
+    band = rng.randrange(4)
+    if band == 0:  # below a resident touch: every touch is slow
+        return rng.randrange(cfg.mem_touch_ns)
+    if band == 1:  # within the touch jitter above a resident touch
+        return cfg.mem_touch_ns + rng.randrange(TOUCH_JITTER_NS)
+    if band == 2:  # around the zero-fill cost
+        return zero_fill_ns + rng.randrange(-TOUCH_JITTER_NS, TOUCH_JITTER_NS)
+    return zero_fill_ns + TOUCH_JITTER_NS + rng.randrange(TOUCH_SPIKE_NS)
+
+
 def vector_workout(seed: int, steps: int, page: int = 4 * KIB):
     """A stream shaped to cross every vectorized fast path *and* its
     scalar fallback: contiguous zero-fill runs, resident re-touch runs,
-    strided batches, uniform and mixed-length pread batches, dcache
-    stat replays, and writeback storms large enough to take the numpy
-    run-coalescing path."""
+    strided batches, thresholded batches on resident and fresh pages,
+    uniform and mixed-length pread batches, dcache stat replays, and
+    writeback storms large enough to take the numpy run-coalescing path.
+    Returns how many thresholded batches stopped early."""
     rng = random.Random(seed)
     fd = (yield sc.create("/mnt0/vw.dat")).value
     yield sc.write(fd, 2 * MIB)  # > _NUMPY_RUNS_MIN blocks: numpy runs
     region = (yield sc.vm_alloc(64 * page)).value
-    yield sc.touch_range(region, 0, 64)  # tier-2 zero-fill run
+    yield sc.touch_range(region, 0, 64)  # zero-fill run
+    fresh = (yield sc.vm_alloc(32 * page)).value
     paths = []
     for i in range(3):
         path = f"/mnt0/vw{i}"
@@ -446,8 +471,9 @@ def vector_workout(seed: int, steps: int, page: int = 4 * KIB):
         yield sc.write(nfd, 16 * KIB)
         yield sc.close(nfd)
         paths.append(path)
+    stops = 0
     for _ in range(steps):
-        action = rng.randrange(6)
+        action = rng.randrange(8)
         if action == 0:
             yield sc.touch_range(region, rng.randrange(32), 1 + rng.randrange(32))
         elif action == 1:
@@ -468,11 +494,27 @@ def vector_workout(seed: int, steps: int, page: int = 4 * KIB):
             yield sc.pread_batch(fd, probes)
         elif action == 4:
             yield sc.stat_batch(paths)
-        else:
+        elif action == 5:
             yield sc.write(fd, rng.randrange(1, 128 * KIB))
+        else:
+            # MAC's early-stop predicate: re-touch the resident region
+            # (action 6) or zero-fill a newly allocated one (action 7).
+            if action == 7:
+                yield sc.vm_free(fresh)
+                fresh = (yield sc.vm_alloc(32 * page)).value
+            target = region if action == 6 else fresh
+            result = (yield sc.touch_batch(
+                target, rng.randrange(8), 1 + rng.randrange(24),
+                stride=1 + rng.randrange(3),
+                threshold_ns=_touch_threshold(rng),
+                slow_count=1 + rng.randrange(3),
+                slow_window=1 + rng.randrange(6),
+            )).value
+            stops += result.stopped
     yield sc.close(fd)
+    yield sc.vm_free(fresh)
     yield sc.vm_free(region)
-    return "survived"
+    return stops
 
 
 def _run_mode_twin(seed: int, numpy_paths: bool, noisy: bool):
@@ -481,18 +523,24 @@ def _run_mode_twin(seed: int, numpy_paths: bool, noisy: bool):
     if noisy:
         injector = FaultInjector(_probe_jitter_config(seed))
         injector.install(kernel)
-    assert kernel.run_process(vector_workout(seed, 20), "vw") == "survived"
+    stops = kernel.run_process(vector_workout(seed, 30), "vw")
     assert kernel.run_process(probe_process(seed, 10, batch=True), "probe") == "survived"
     schedule = injector.schedule_digest() if injector is not None else ""
-    return kernel.clock.now, state_digest(kernel), obs_digest(kernel), schedule
+    stats = injector.stats() if injector is not None else {}
+    return (
+        kernel.clock.now, state_digest(kernel), obs_digest(kernel), schedule,
+        stats, stops,
+    )
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_differential_numpy_vs_scalar_paths(noisy):
     """30 twin pairs per mode: a ``numpy_paths=False`` compatibility
     kernel must be byte-indistinguishable — same clock, same machine
-    state, same obs records, same injector schedule — from the
-    vectorized default over a workload shaped to cross every fast path."""
+    state, same obs records, same injector schedule and stats, same
+    early stops — from the vectorized default over a workload shaped to
+    cross every fast path."""
+    stops = 0
     for case in range(30):
         seed = 0x7EC + 541 * case
         vec = _run_mode_twin(seed, numpy_paths=True, noisy=noisy)
@@ -501,6 +549,10 @@ def test_differential_numpy_vs_scalar_paths(noisy):
             f"numpy/scalar divergence (noisy={noisy}): reproduce with "
             f"seed={seed} ({vec} != {sca})"
         )
+        stops += vec[-1]
+    # The thresholded batches must actually trip the predicate, or the
+    # comparison above says nothing about it.
+    assert stops >= 30, f"only {stops} early stops in 30 workouts"
 
 
 def pressure_workout(seed: int, steps: int, page: int, file_pages: int):
