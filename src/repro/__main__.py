@@ -32,10 +32,12 @@ metric samples to JSONL for offline analysis.
 
 ``report [OUT]`` regenerates EXPERIMENTS.md (:mod:`repro.experiments.report`).
 
-``observe <scenario>`` runs one always-instrumented scenario (``scan``,
+``observe <scenario>...`` runs always-instrumented scenarios (``scan``,
 ``fldc``, ``mac``, ``contention``) and dumps every metric, event, and
 span as JSONL; ``--chrome-trace FILE`` additionally writes a
-Perfetto-loadable Chrome trace of the run.
+Perfetto-loadable Chrome trace of the run.  Given several scenarios,
+``--out`` and ``--chrome-trace`` name one file per scenario, with
+``-<scenario>`` added to the stem (as ``channels --channel both`` does).
 
 ``arena`` interleaves N gray-box tenants on one shared kernel
 (:mod:`repro.experiments.arena`): ``--n N`` runs one arena and prints
@@ -138,19 +140,14 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def _observe(args: argparse.Namespace) -> int:
-    scenarios = args.scenarios
-    for scenario in scenarios:
-        if args.out is not None and len(scenarios) == 1:
-            dest = args.out
-        else:
-            dest = f"observe-{scenario}.jsonl"
-        if args.chrome_trace is not None and len(scenarios) == 1:
-            chrome_dest = args.chrome_trace
-        elif args.chrome_trace is not None:
-            chrome_dest = f"observe-{scenario}.trace.json"
-        else:
-            chrome_dest = None
-        report = observe_figure(scenario, out_path=dest, chrome_trace=chrome_dest)
+    many = len(args.scenarios) > 1
+    for scenario in args.scenarios:
+        report = observe_figure(
+            scenario,
+            out_path=_suffixed(args.out, scenario, many)
+            or f"observe-{scenario}.jsonl",
+            chrome_trace=_suffixed(args.chrome_trace, scenario, many),
+        )
         print(report.render())
         print()
     return 0
@@ -194,16 +191,8 @@ def _channels(args: argparse.Namespace) -> int:
     # The single-run options parse as None (see `_reject_sweep_ignored`).
     channel = args.channel or "residency"
     channels = CHANNEL_KINDS if channel == "both" else (channel,)
+    many = len(channels) > 1
     for channel in channels:
-        out_path, report_path = args.out, args.report
-        if len(channels) > 1:
-            # One artifact per channel: suffix the stem.
-            if out_path:
-                p = Path(out_path)
-                out_path = str(p.with_name(f"{p.stem}-{channel}{p.suffix}"))
-            if report_path:
-                p = Path(report_path)
-                report_path = str(p.with_name(f"{p.stem}-{channel}{p.suffix}"))
         report = run_channel(
             channel,
             noise=0.0 if args.noise is None else args.noise,
@@ -211,8 +200,8 @@ def _channels(args: argparse.Namespace) -> int:
             platform=args.platform or "linux22",
             seed=args.seed,
             n_bits=48 if args.bits is None else args.bits,
-            out_path=out_path,
-            report_path=report_path,
+            out_path=_suffixed(args.out, channel, many),
+            report_path=_suffixed(args.report, channel, many),
         )
         print(report.render())
         print()
@@ -234,6 +223,16 @@ def _reject_sweep_ignored(args: argparse.Namespace) -> None:
     for flag in args.sweep_ignores:
         if getattr(args, flag[2:]) is not None:
             args.usage_error(f"argument {flag}: not allowed with argument --sweep")
+
+
+def _suffixed(path: Optional[str], name: str, many: bool) -> Optional[str]:
+    """``path`` itself, or, when one command writes ``many`` artefacts of
+    a kind, ``path`` with ``-name`` added to its stem (``out.jsonl`` →
+    ``out-scan.jsonl``), so no artefact overwrites another."""
+    if not path or not many:
+        return path
+    p = Path(path)
+    return str(p.with_name(f"{p.stem}-{name}{p.suffix}"))
 
 
 def _runner_configuration(args: argparse.Namespace):
@@ -365,10 +364,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     observe.add_argument(
         "--out", metavar="FILE",
-        help="JSONL path for a single scenario (default observe-<scenario>.jsonl)",
+        help="JSONL path (default observe-<scenario>.jsonl); with several"
+        " scenarios each gets -<scenario> added to the stem",
     )
     observe.add_argument(
-        "--chrome-trace", metavar="FILE", help="also write a Perfetto-loadable trace",
+        "--chrome-trace", metavar="FILE",
+        help="also write a Perfetto-loadable trace (suffixed like --out)",
     )
     observe.set_defaults(handler=_observe)
 

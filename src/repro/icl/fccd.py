@@ -210,32 +210,24 @@ class FCCD(ICL):
         segments: List[AccessSegment] = []
         for offset, length in self.segments_of(size, align):
             points = self._probe_points(offset, length, size)
-            if self.batch_probes:
-                with self.obs.span_batch(
-                    "fccd.probe_batch", len(points), offset=offset, length=length
-                ) as span:
+            with self.obs.span_batch(
+                "fccd.probe_batch", len(points), offset=offset, length=length
+            ) as span:
+                if self.batch_probes:
                     probes = (
                         yield from self._retry(
                             sc.pread_batch(fd, [(p, 1) for p in points])
                         )
                     ).value
                     total = sum(p.elapsed_ns for p in probes)
-                    count = len(probes)
-                    span.attrs["probe_ns"] = total
-            else:
-                total = 0
-                count = 0
-                with self.obs.span(
-                    "fccd.probe_batch", offset=offset, length=length
-                ) as span:
+                else:
+                    total = 0
                     for point in points:
                         result = yield from self._retry(sc.pread(fd, point, 1))
                         total += result.elapsed_ns
-                        count += 1
-                    span.attrs["probes"] = count
-                    span.attrs["probe_ns"] = total
-            self.obs.count("icl.fccd.probes", count)
-            segments.append(AccessSegment(offset, length, total, count))
+                span.attrs["probe_ns"] = total
+            self.obs.count("icl.fccd.probes", len(points))
+            segments.append(AccessSegment(offset, length, total, len(points)))
             # One access unit's probes = one arena step (no-op unless
             # step_markers is set — see ICL.checkpoint).
             yield from self.checkpoint()

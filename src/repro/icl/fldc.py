@@ -68,20 +68,30 @@ class FLDC(ICL):
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------
+    def _stat_all(self, paths: Sequence[str]) -> Generator:
+        """stat() every path in order; returns the StatResults as a list.
+
+        One ``stat_batch`` when ``batch_probes`` is on, else one
+        ``stat`` per path.
+        """
+        if self.batch_probes:
+            probes = (yield from self._retry(sc.stat_batch(list(paths)))).value
+            return [probe.stat for probe in probes]
+        stats = []
+        for path in paths:
+            stats.append((yield from self._retry(sc.stat(path))).value)
+        return stats
+
     def stat_files(self, paths: Sequence[str]) -> Generator:
         """Probe each file with stat(); returns {path: StatResult}."""
-        stats = {}
+        # Distinct span names: exported JSONL must distinguish the
+        # sequential sweep from the vectored ``fldc.stat_batch``.
         if self.batch_probes:
-            with self.obs.span_batch("fldc.stat_batch", len(paths)):
-                results = (yield from self._retry(sc.stat_batch(list(paths)))).value
-            for path, probe in zip(paths, results):
-                stats[path] = probe.stat
+            span = self.obs.span_batch("fldc.stat_batch", len(paths))
         else:
-            # Distinct span name: exported JSONL must distinguish the
-            # sequential sweep from the vectored ``fldc.stat_batch``.
-            with self.obs.span("fldc.stat_sweep", files=len(paths)):
-                for path in paths:
-                    stats[path] = (yield from self._retry(sc.stat(path))).value
+            span = self.obs.span("fldc.stat_sweep", files=len(paths))
+        with span:
+            stats = dict(zip(paths, (yield from self._stat_all(paths))))
         self.obs.count("icl.fldc.stats", len(paths))
         # One stat sweep = one arena step (no-op unless step_markers).
         yield from self.checkpoint()
@@ -154,19 +164,9 @@ class FLDC(ICL):
         with self.obs.span("fldc.refresh", directory=dir_path) as span:
             names = (yield from self._retry(sc.readdir(dir_path))).value
             stats = {}
-            if self.batch_probes and names:
-                results = (
-                    yield from self._retry(
-                        sc.stat_batch([f"{dir_path}/{n}" for n in names])
-                    )
-                ).value
-                for name, probe in zip(names, results):
-                    stats[name] = probe.stat
-            else:
-                for name in names:
-                    stats[name] = (
-                        yield from self._retry(sc.stat(f"{dir_path}/{name}"))
-                    ).value
+            if names:
+                paths = [f"{dir_path}/{name}" for name in names]
+                stats = dict(zip(names, (yield from self._stat_all(paths))))
             for name in names:
                 if stats[name].kind.name != "FILE":
                     raise ValueError(

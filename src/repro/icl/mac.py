@@ -78,7 +78,6 @@ class MAC(ICL):
         max_increment_bytes: int = 64 * MIB,
         slow_count: int = 2,
         slow_window_touches: int = 256,
-        reverify_stride: int = 1,
         settle_ns: int = 20 * MILLIS,
         increment_policy: str = "paper",
         obs=None,
@@ -108,7 +107,6 @@ class MAC(ICL):
         # are the parameters the paper admits are tuned per platform.
         self.slow_count = slow_count
         self.slow_window_touches = slow_window_touches
-        self.reverify_stride = reverify_stride
         # Pause between the two probe loops.  The first loop moves the
         # chunk to a known state; the pause gives any competing process
         # a scheduling quantum to re-assert its working set, so the
@@ -138,18 +136,12 @@ class MAC(ICL):
         # pressure keeps re-evicting and keeps failing.
         if verify_retries < 0:
             raise ValueError("verify_retries must be >= 0")
+        if settle_ns < 0:
+            raise ValueError("settle_ns must be >= 0")
         self.robust_verify = robust_verify
         self.verify_retries = verify_retries
         self._slow_threshold_ns: Optional[int] = None
         self.stats = MacStats()
-
-    @property
-    def _verify_slow_count(self) -> int:
-        return self.slow_count if self.robust_verify else 1
-
-    @property
-    def _verify_slow_window(self) -> int:
-        return self.slow_window_touches if self.robust_verify else 1
 
     # ------------------------------------------------------------------
     # Threshold calibration (§4.3.2 "Memory-differentiation threshold")
@@ -182,101 +174,96 @@ class MAC(ICL):
     # ------------------------------------------------------------------
     # Chunk probing
     # ------------------------------------------------------------------
-    def _probe_chunk(self, region_id: int, npages: int, threshold: int) -> Generator:
-        """Two-loop probe of a fresh chunk; True if it fits in memory."""
+    def _touch_loop(
+        self,
+        region_id: int,
+        npages: int,
+        threshold: int,
+        slow_count: int,
+        slow_window: int,
+    ) -> Generator:
+        """One write loop over a region's pages; returns (touched, stopped).
+
+        The loop stops right after the touch that makes ``slow_count``
+        touches slower than ``threshold`` within ``slow_window`` pages.
+        Batched, that is one ``touch_batch`` running the same detector
+        kernel-side, so timings, pages touched and the stop point match
+        the per-touch loop exactly.
+        """
         if self.batch_probes:
-            loop1 = (
+            result = (
                 yield from self._retry(
                     sc.touch_batch(
                         region_id,
                         0,
                         npages,
                         threshold_ns=threshold,
-                        slow_count=self.slow_count,
-                        slow_window=self.slow_window_touches,
+                        slow_count=slow_count,
+                        slow_window=slow_window,
                     )
                 )
             ).value
-            self.stats.probe_touches += loop1.pages_touched
-            if loop1.stopped:
-                # The page daemon woke up: skip straight to verification.
-                self.stats.loop1_aborts += 1
-                self.obs.count("icl.mac.loop1_aborts")
-            reached = loop1.pages_touched
-            # A trip on the final page still leaves reached == npages —
-            # the sequential loop counts that chunk as fitting (loop 2
-            # is what catches it), so length alone decides here too.
-            fits = reached == npages
-            if fits and self.settle_ns:
-                yield sc.sleep(self.settle_ns)
-            if fits:
-                fits = yield from self._verify_loop(region_id, reached, threshold)
-            return fits
+            self.stats.probe_touches += result.pages_touched
+            return result.pages_touched, result.stopped
         slow_marks: List[int] = []
-        reached = npages
         for index in range(npages):
             result = yield from self._retry(sc.touch(region_id, index))
             self.stats.probe_touches += 1
             if result.elapsed_ns > threshold:
                 slow_marks.append(index)
-                recent = [
-                    m for m in slow_marks if index - m < self.slow_window_touches
-                ]
-                if len(recent) >= self.slow_count:
-                    # The page daemon woke up: skip straight to verification.
-                    self.stats.loop1_aborts += 1
-                    self.obs.count("icl.mac.loop1_aborts")
-                    reached = index + 1
-                    break
-        fits = reached == npages
-        if fits and self.settle_ns:
-            yield sc.sleep(self.settle_ns)
-        if fits:
-            fits = yield from self._verify_loop(region_id, reached, threshold)
-        return fits
+                if (
+                    len(slow_marks) >= slow_count
+                    and index - slow_marks[-slow_count] < slow_window
+                ):
+                    return index + 1, True
+        return npages, False
 
-    def _verify_loop(self, region_id: int, npages: int, threshold: int) -> Generator:
-        """The second probe loop, with the hardening knobs applied.
+    def _probe_chunk(self, region_id: int, npages: int, threshold: int) -> Generator:
+        """Two-loop probe of a fresh chunk; True if it fits in memory."""
+        touched, stopped = yield from self._touch_loop(
+            region_id, npages, threshold, self.slow_count, self.slow_window_touches
+        )
+        if stopped:
+            # The page daemon woke up: skip straight to verification.
+            self.stats.loop1_aborts += 1
+            self.obs.count("icl.mac.loop1_aborts")
+        # A trip on the final page still leaves touched == npages: the
+        # chunk counts as fitting and loop 2 is what catches it.
+        if touched < npages:
+            return False
+        if self.settle_ns:
+            yield sc.sleep(self.settle_ns)
+        return (yield from self._verified([(region_id, npages)], threshold))
+
+    def _verified(self, regions: List[Tuple[int, int]], threshold: int) -> Generator:
+        """The verify loop over ``regions``: True if every page is resident.
+
+        It serves the new chunk and the confirmed ones.  Re-verifying the
+        whole allocation every round is the paper's O(n²) probing, whose
+        cost it calls out as half of gb-fastsort's overhead (§4.3.3); it
+        guards against growth silently paging out MAC's own earlier
+        pages instead of slowing the new chunk.
 
         Stock behaviour (``robust_verify`` off, ``verify_retries`` 0):
         one pass failing on the first slow touch — exactly the paper's
-        verify loop.  Hardened, the pass uses the windowed slow detector
-        and a failed pass is re-run after a settle pause, bounded by
-        ``verify_retries``.
+        verify loop.  Hardened, the pass uses loop 1's windowed slow
+        detector and a failed pass is re-run after a settle pause,
+        bounded by ``verify_retries``.
         """
+        if self.robust_verify:
+            slow_count, slow_window = self.slow_count, self.slow_window_touches
+        else:
+            slow_count = slow_window = 1
         attempt = 0
         while True:
-            if self.batch_probes:
-                loop2 = (
-                    yield from self._retry(
-                        sc.touch_batch(
-                            region_id,
-                            0,
-                            npages,
-                            threshold_ns=threshold,
-                            slow_count=self._verify_slow_count,
-                            slow_window=self._verify_slow_window,
-                        )
-                    )
-                ).value
-                self.stats.probe_touches += loop2.pages_touched
-                fits = not loop2.stopped
-            else:
-                fits = True
-                slow_marks: List[int] = []
-                for index in range(npages):
-                    result = yield from self._retry(sc.touch(region_id, index))
-                    self.stats.probe_touches += 1
-                    if result.elapsed_ns > threshold:
-                        slow_marks.append(index)
-                        recent = [
-                            m
-                            for m in slow_marks
-                            if index - m < self._verify_slow_window
-                        ]
-                        if len(recent) >= self._verify_slow_count:
-                            fits = False
-                            break
+            fits = True
+            for region_id, npages in regions:
+                _touched, stopped = yield from self._touch_loop(
+                    region_id, npages, threshold, slow_count, slow_window
+                )
+                if stopped:
+                    fits = False
+                    break
             if fits or attempt >= self.verify_retries:
                 return fits
             attempt += 1
@@ -284,64 +271,6 @@ class MAC(ICL):
             self.obs.count("icl.mac.verify_retries")
             if self.settle_ns:
                 yield sc.sleep(self.settle_ns)
-
-    def _reverify(self, regions: List[Tuple[int, int]], threshold: int) -> Generator:
-        """Residency check of the already-confirmed chunks.
-
-        Guards against the case where growing the allocation silently
-        paged out MAC's own earlier pages instead of slowing the new
-        chunk.  With the default stride of 1 this re-touches the whole
-        allocation every iteration — the paper's O(n²) probing, whose
-        cost it calls out as half of gb-fastsort's overhead (§4.3.3).
-        A larger stride samples instead (the cheap-probe ablation).
-        """
-        attempt = 0
-        while True:
-            ok = yield from self._reverify_once(regions, threshold)
-            if ok or attempt >= self.verify_retries:
-                return ok
-            attempt += 1
-            self.stats.verify_retries += 1
-            self.obs.count("icl.mac.verify_retries")
-            if self.settle_ns:
-                yield sc.sleep(self.settle_ns)
-
-    def _reverify_once(
-        self, regions: List[Tuple[int, int]], threshold: int
-    ) -> Generator:
-        """One residency pass over the confirmed regions."""
-        if self.batch_probes:
-            for region_id, npages in regions:
-                result = (
-                    yield from self._retry(
-                        sc.touch_batch(
-                            region_id,
-                            0,
-                            npages,
-                            stride=self.reverify_stride,
-                            threshold_ns=threshold,
-                            slow_count=self._verify_slow_count,
-                            slow_window=self._verify_slow_window,
-                        )
-                    )
-                ).value
-                self.stats.probe_touches += result.pages_touched
-                if result.stopped:
-                    return False
-            return True
-        for region_id, npages in regions:
-            slow_marks: List[int] = []
-            for index in range(0, npages, self.reverify_stride):
-                result = yield from self._retry(sc.touch(region_id, index))
-                self.stats.probe_touches += 1
-                if result.elapsed_ns > threshold:
-                    slow_marks.append(index)
-                    recent = [
-                        m for m in slow_marks if index - m < self._verify_slow_window
-                    ]
-                    if len(recent) >= self._verify_slow_count:
-                        return False
-        return True
 
     # ------------------------------------------------------------------
     # The public interface
@@ -381,8 +310,8 @@ class MAC(ICL):
                 ) as round_span:
                     touches_before = self.stats.probe_touches
                     fits = yield from self._probe_chunk(region_id, chunk, threshold)
-                    if fits:
-                        fits = yield from self._reverify(regions, threshold)
+                    if fits and regions:
+                        fits = yield from self._verified(regions, threshold)
                     round_span.attrs["fits"] = fits
                     round_span.attrs["touches"] = (
                         self.stats.probe_touches - touches_before

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, NamedTuple, Sequence, Union
+from typing import Any, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 from repro.obs.metrics import SnapshotStats
 
@@ -96,43 +96,34 @@ class CachePolicy(ABC):
             return True
         return False
 
-    def touch_cached_many(self, keys: Sequence[PageKey]) -> bool:
-        """All-or-nothing clean touch of a key sequence; True if all hit.
+    # Batched update primitives ----------------------------------------
+    #
+    # Re-referencing resident pages in bulk goes through *cells*: a cell
+    # is whatever lets this policy re-reference one resident page
+    # without hashing its key again (clock hands out its frame objects;
+    # key-addressed policies use the key itself).  A page's cell is
+    # handed out when it is inserted (:meth:`insert_absent`,
+    # :meth:`insert_absent_many`) or looked up (:meth:`cells_of`).
+    # Cells are identity-stable while the page stays resident — across
+    # hits and dirtying — and are invalidated by removal.  The memory
+    # manager's residency index keeps them beside its presence bits (the
+    # vectorized fault and read paths), and the name cache keeps a
+    # walk's cells while the file-eviction epoch says nothing has left
+    # the pool.
+    def cells_of(self, keys: Sequence[PageKey]) -> Optional[List[Any]]:
+        """The cells of ``keys`` in order if every key is resident, else None.
 
-        The name-cache replay primitive: when *every* key is present,
-        re-reference each one **in order** (recency/reference updates
-        exactly as ``len(keys)`` individual clean touches would) and
-        count that many hits.  If any key is absent, mutate nothing —
-        no stats, no recency movement — and return False so the caller
-        falls back to the slow walk, which performs and accounts every
-        touch itself.  Membership is verified for the whole sequence
-        before the first reference so a late miss cannot leave partial
-        hit counts behind.  Subclasses override with fused forms.
+        Mutates nothing: no stats, no recency movement.  Repeated keys
+        get repeated cells, so ``reference_cells(cells_of(keys))`` has
+        exactly the effect of a clean :meth:`touch_cached` per key.
+        Key-addressed policies keep this default: their cell is the key.
         """
         contains = self.contains
         for key in keys:
             if not contains(key):
-                return False
-        reference = self._reference
-        for key in keys:
-            reference(key, False)
-        self.stats.hits += len(keys)
-        return True
+                return None
+        return list(keys)
 
-    # Batched update primitives ----------------------------------------
-    #
-    # The vectorized fault/read paths verify residency for a whole page
-    # run with one numpy membership test (see repro.sim.vm.residency)
-    # and then need the policy effect of N individual touches without N
-    # key constructions or dict probes.  The contract mirrors
-    # ``replay_token``/``replay`` but is per-page: a *cell* is whatever
-    # token lets this policy re-reference one resident page cheaply
-    # (clock hands out its frame objects; key-addressed policies use the
-    # key itself).  A page's cell is handed out when it is inserted
-    # (:meth:`insert_absent`, :meth:`insert_absent_many`).  Cells are
-    # identity-stable while the page stays resident and are invalidated
-    # by removal — the memory manager's residency index drops them
-    # alongside its presence bits.
     def reference_cells(self, cells: Sequence[Any], dirty: bool = False) -> None:
         """Re-reference resident pages by cell; ≡ ``len(cells)`` touch hits.
 
@@ -166,27 +157,6 @@ class CachePolicy(ABC):
         cells = [insert(key, dirty) for key in keys]
         self.stats.misses += len(keys)
         return cells
-
-    def replay_token(self, keys: Sequence[PageKey]) -> Any:
-        """An opaque token for O(len)-cheap re-touches of resident keys.
-
-        Contract: ``keys`` must all be resident *now*, and the token is
-        valid only while **no page leaves this pool** (the memory
-        manager's file-eviction epoch tracks exactly that).  While
-        valid, :meth:`replay` must be observably identical to a
-        successful :meth:`touch_cached_many` over the same keys —
-        same recency/reference effects, same hit count.  Policies
-        override to pre-resolve per-key lookups (e.g. clock caches the
-        frame objects, so a replay is pure attribute stores).
-        """
-        return tuple(keys)
-
-    def replay(self, token: Any) -> None:
-        """Re-touch a :meth:`replay_token`'s keys without membership checks."""
-        reference = self._reference
-        for key in token:
-            reference(key, False)
-        self.stats.hits += len(token)
 
     @abstractmethod
     def _reference(self, key: PageKey, dirty: bool) -> bool:

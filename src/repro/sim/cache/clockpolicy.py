@@ -61,19 +61,16 @@ class ClockPolicy(CachePolicy):
         frame = self._ring_of(key)[key] = _Frame(dirty)
         return frame
 
-    def touch_cached_many(self, keys) -> bool:
-        """Fused all-or-nothing replay: a clean clock hit sets the bit."""
+    def cells_of(self, keys):
+        """The frames of ``keys``, one ring lookup each; None if one is absent."""
         ring_of = self._ring_of
         frames = []
         for key in keys:
             frame = ring_of(key).get(key)
             if frame is None:
-                return False
+                return None
             frames.append(frame)
-        for frame in frames:
-            frame.referenced = True
-        self.stats.hits += len(frames)
-        return True
+        return frames
 
     def reference_cells(self, cells, dirty: bool = False) -> None:
         """Batched clock hit: a reference-bit store per frame, no hashing."""
@@ -97,19 +94,6 @@ class ClockPolicy(CachePolicy):
             append(frame)
         self.stats.misses += len(keys)
         return cells
-
-    def replay_token(self, keys):
-        """The frame objects themselves: frames are identity-stable while
-        resident (a second-chance rotation re-inserts the same frame),
-        so while no page leaves the pool a replay needs no key hashing
-        at all — just a reference-bit store per frame."""
-        ring_of = self._ring_of
-        return tuple(ring_of(key)[key] for key in keys)
-
-    def replay(self, token) -> None:
-        for frame in token:
-            frame.referenced = True
-        self.stats.hits += len(token)
 
     def contains(self, key: PageKey) -> bool:
         return key in self._ring_of(key)

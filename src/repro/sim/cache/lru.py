@@ -35,26 +35,6 @@ class LRUPolicy(CachePolicy):
         self._pages[key] = dirty
         return key
 
-    def touch_cached_many(self, keys) -> bool:
-        """Fused all-or-nothing replay: a clean LRU hit is move-to-end."""
-        pages = self._pages
-        for key in keys:
-            if key not in pages:
-                return False
-        move = pages.move_to_end
-        for key in keys:
-            move(key)
-        self.stats.hits += len(keys)
-        return True
-
-    def replay(self, token) -> None:
-        """A clean LRU hit is move-to-end; per-key hashing is inherent,
-        so the token stays the keys (the base ``replay_token``)."""
-        move = self._pages.move_to_end
-        for key in token:
-            move(key)
-        self.stats.hits += len(token)
-
     def reference_cells(self, cells, dirty: bool = False) -> None:
         """Batched LRU hit: cells are keys; one reorder pass per batch.
 

@@ -74,16 +74,6 @@ class SegmapPolicy(CachePolicy):
         self._count += 1
         return key
 
-    def touch_cached_many(self, keys) -> bool:
-        """Fused all-or-nothing replay: a clean segmap hit moves nothing."""
-        owners = self._owners
-        for key in keys:
-            pages = owners.get(_owner_of(key))
-            if pages is None or key not in pages:
-                return False
-        self.stats.hits += len(keys)
-        return True
-
     def reference_cells(self, cells, dirty: bool = False) -> None:
         """Batched segmap hit: cells are keys; a clean hit moves nothing."""
         if dirty:
@@ -100,14 +90,6 @@ class SegmapPolicy(CachePolicy):
         self._count += len(keys)
         self.stats.misses += len(keys)
         return list(keys)
-
-    def replay_token(self, keys):
-        """A clean segmap hit mutates nothing, so the hit count is the
-        entire replay state."""
-        return len(keys)
-
-    def replay(self, token) -> None:
-        self.stats.hits += token
 
     def contains(self, key: PageKey) -> bool:
         pages = self._owners.get(_owner_of(key))

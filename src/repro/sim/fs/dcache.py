@@ -21,19 +21,21 @@ records everything a repeat resolution of the same path string needs:
   ``(components + 1) * page_copy_ns(128)`` — computed once at memoize
   time.
 
-The fast path (``NameLayer``) replays the touch sequence through the
-cache policy's batched ``touch_cached_many`` primitive and charges the
-memoized cost; simulated time and every cache side effect (hit counts,
-recency updates) are bit-identical to the slow walk.  If *any* key is
-absent the replay mutates nothing and the caller falls back to the slow
-walk, which re-memoizes.
+The fast path (``NameLayer``) looks the keys' cells up through the
+cache policy's ``cells_of``, re-references them with one
+``reference_cells`` call and charges the memoized cost; simulated time
+and every cache side effect (hit counts, recency updates) are
+bit-identical to the slow walk.  If *any* key is absent the lookup
+mutates nothing and the caller falls back to the slow walk, which
+re-memoizes.
 
 Invalidation is deliberately coarse: a per-filesystem **generation
 counter** bumped on every namespace mutation (``create`` / ``mkdir`` /
 ``rmdir`` / ``unlink`` / ``rename``).  An entry stamped with an old
 generation is discarded on lookup.  Residency changes (evictions, the
-oracle's ``flush_file_cache``) need no generation bump — the replay
-itself detects any non-resident key and falls back.  File *data* growth
+oracle's ``flush_file_cache``) need no generation bump — they bump the
+memory manager's file-eviction epoch, and the cell lookup that follows
+detects any non-resident key and falls back.  File *data* growth
 never invalidates either: walks touch directory data and inode-table
 pages only, and directory pages can only grow via a namespace mutation.
 
@@ -82,17 +84,17 @@ class WalkEntry:
     thereafter, so a current-generation entry's inode reference is
     always the live one.
 
-    ``epoch``/``token`` memoize the residency verification: after
-    ``touch_cached_many`` succeeds, the entry records the memory
-    manager's file-eviction epoch and the policy's replay token.  While
-    the epoch is unchanged no page has left the pool, so a repeat
-    fast-path hit replays via the token — skipping every per-key
-    membership check — with effects identical to the checked replay.
+    ``epoch``/``cells`` memoize the residency verification: when
+    ``cells_of`` finds every key resident, the entry records the memory
+    manager's file-eviction epoch and the keys' cells.  While the epoch
+    is unchanged no page has left the pool, so a repeat fast-path hit
+    re-references those cells — skipping every per-key lookup — with
+    the same effects as a clean touch per key.
     """
 
     __slots__ = (
         "generation", "fs", "disk", "fs_id", "ino", "inode", "keys",
-        "resident_cost_ns", "fast_elapsed_ns", "epoch", "token",
+        "resident_cost_ns", "fast_elapsed_ns", "epoch", "cells",
         "stat_epoch", "stat_cached",
     )
 
@@ -118,7 +120,7 @@ class WalkEntry:
         # resident stat charges before injector noise.
         self.fast_elapsed_ns = fast_elapsed_ns
         self.epoch: int = -1  # no residency verification yet
-        self.token: Any = None
+        self.cells: Any = None
         # Memoized StatResult, valid while NameLayer.stat_epoch is
         # unchanged (no possibly-mutating syscall dispatched since).
         self.stat_epoch: int = -1

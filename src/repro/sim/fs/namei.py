@@ -225,10 +225,10 @@ class NameLayer:
         generation expired, or any key is non-resident; the caller then
         takes the slow walk.
 
-        Residency is verified per key only when the memory manager's
-        file-eviction epoch moved since this entry last verified; while
-        the epoch is unchanged nothing has left the pool, so the entry
-        replays through the policy's pre-resolved token instead.
+        Residency is verified, one lookup per key, only when the memory
+        manager's file-eviction epoch moved since this entry last
+        verified; while the epoch is unchanged nothing has left the
+        pool, so the cells found then are still the pages' cells.
         """
         cache = self.dcache
         if cache is None:
@@ -237,13 +237,13 @@ class NameLayer:
         if entry is None:
             return None
         mm = self.mm
-        if entry.epoch == mm.file_epoch:
-            mm.replay_file_touches(entry.token)
-            return entry
-        if not mm.touch_files_cached(entry.keys):
-            return None
-        entry.epoch = mm.file_epoch
-        entry.token = mm.file_replay_token(entry.keys)
+        if entry.epoch != mm.file_epoch:
+            cells = mm.file_cells_of(entry.keys)
+            if cells is None:
+                return None
+            entry.cells = cells
+            entry.epoch = mm.file_epoch
+        mm.reference_file_cells(entry.cells)
         return entry
 
     def namespace_changed(self, fs: FFS) -> None:
@@ -349,13 +349,14 @@ class NameLayer:
         # unrolled with everything bound locally: at full batch
         # throughput the per-probe budget is about a microsecond, so
         # each probe does one entry lookup, one generation compare, one
-        # epoch compare, a token replay, and result construction.  The
-        # local ``epoch`` mirror is refreshed after every slow walk —
-        # the only point inside the loop where pages can leave the file
-        # pool — and the name-cache counters are flushed on the way out
-        # (no namespace mutation can interleave with a running batch).
+        # epoch compare, a cell re-reference, and result construction.
+        # The local ``epoch`` mirror is refreshed after every slow walk
+        # — the only point inside the loop where pages can leave the
+        # file pool — and the name-cache counters are flushed on the way
+        # out (no namespace mutation can interleave with a running batch).
         mm = self.mm
-        replay = mm.replay_file_touches
+        cells_of = mm.file_cells_of
+        reference = mm.reference_file_cells
         entries, entries_get, gen_get = cache.hot_view()
         stat_result = StatResult
         probe_stat = ProbeStat
@@ -376,14 +377,15 @@ class NameLayer:
                     entry = None
                 else:
                     hits += 1
-                    if entry.epoch == epoch:
-                        replay(entry.token)
-                    elif mm.touch_files_cached(entry.keys):
-                        entry.epoch = epoch
-                        entry.token = mm.file_replay_token(entry.keys)
-                    else:
-                        entry = None
+                    if entry.epoch != epoch:
+                        cells = cells_of(entry.keys)
+                        if cells is None:
+                            entry = None
+                        else:
+                            entry.cells = cells
+                            entry.epoch = epoch
             if entry is not None:
+                reference(entry.cells)
                 elapsed = entry.fast_elapsed_ns
                 if inject is not None:
                     elapsed = inject.probe_elapsed("stat", elapsed)

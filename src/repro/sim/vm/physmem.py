@@ -93,7 +93,7 @@ class MemoryManager:
 
         # Array-backed residency mirrors (see repro.sim.vm.residency):
         # per-(fs_id, ino) file-page presence and per-pid anon-page
-        # presence, each paired with the pool's per-page replay cells.
+        # presence, each paired with the pool's per-page cells.
         # Every insert/remove below keeps them exact, so the vectorized
         # fault and read paths can test whole-run membership with one
         # numpy op.  MetaKeys are not mirrored — no batch path needs
@@ -105,14 +105,14 @@ class MemoryManager:
         # file pool (reclaim victims, explicit drops).  While the epoch
         # is unchanged, a key sequence once verified fully resident is
         # *still* fully resident — inserts never remove — so the stat
-        # fast path can skip membership checks and use the policy's
-        # replay token (see CachePolicy.replay_token).  Plain attribute
-        # (not a property): it is read once per fast-path probe.
+        # fast path can skip membership checks and re-reference the
+        # cells it looked up then (see CachePolicy.cells_of).  Plain
+        # attribute (not a property): it is read once per fast-path probe.
         self.file_epoch: int = 0
         #: Bound pass-throughs for the per-probe fast path — one call
         #: deep instead of a wrapper method per probe.
-        self.replay_file_touches = self._file_pool.replay
-        self.file_replay_token = self._file_pool.replay_token
+        self.file_cells_of = self._file_pool.cells_of
+        self.reference_file_cells = self._file_pool.reference_cells
 
         # Pull-style sources: read only when metrics are collected.  In
         # unified mode one pool serves both roles, so "cache.file"
@@ -175,14 +175,14 @@ class MemoryManager:
         if victims and pool is self._file_pool:
             # Pages left the file pool (or, on the OutOfMemory undo
             # below, were re-inserted as fresh frames): either way any
-            # outstanding replay token may now be stale.
+            # cells the name cache holds may now be stale.
             self.file_epoch += 1
         if len(victims) < shortfall:
             # Pool cannot shrink enough: the machine is truly out of memory.
             for entry in victims:
                 # Undo.  Re-inserting allocates fresh cells; the residency
                 # mirrors still carry the pre-eviction ones, so point
-                # them at the new cells before anything replays them.
+                # them at the new cells before anything references them.
                 key = entry.key
                 cell = pool.insert_absent(key, entry.dirty)
                 if isinstance(key, AnonKey):
@@ -284,17 +284,6 @@ class MemoryManager:
             return False
         self._file_pool.reference_cells(cells, False)
         return True
-
-    def touch_files_cached(self, keys: Sequence[PageKey]) -> bool:
-        """All-or-nothing clean touch of a resident key sequence.
-
-        The name-cache replay: when every key is cached this is exactly
-        ``len(keys)`` hit-path :meth:`touch_file` calls (same hit counts,
-        same recency updates, no victims — hits never over-fill the
-        pool); when any key is absent nothing changes and the caller
-        must take the slow walk.
-        """
-        return self._file_pool.touch_cached_many(keys)
 
     def touch_file(self, key: PageKey, dirty: bool = False) -> List[PageEntry]:
         """Reference (inserting if absent) a file or metadata page.

@@ -626,3 +626,80 @@ class TestIclBatchEquivalence:
         )
         assert s_batch.loop1_aborts >= 1
         assert t_seq == t_batch
+
+    def test_mac_hardened_verify_identical_under_touch_spikes(self):
+        # Windowed verify passes with retries: touch-latency spikes over
+        # a repository threshold trip loop 1 and both verify passes, and
+        # both sides draw the same spike stream, touch for touch.
+        def run(batch):
+            kernel = Kernel(small_config())
+            injector = FaultInjector(InjectionConfig(
+                seed=2,
+                touch_latency=LatencyNoise(spike_prob=0.01, spike_ns=400_000),
+            )).install(kernel)
+            mac = MAC(
+                repository=self._repo(3_000, 10_000_000),
+                page_size=PAGE,
+                initial_increment_bytes=256 * KIB,
+                max_increment_bytes=2 * MIB,
+                slow_window_touches=32,
+                batch_probes=batch,
+                robust_verify=True,
+                verify_retries=2,
+            )
+
+            def app():
+                allocation = yield from mac.gb_alloc(1 * MIB, 8 * MIB)
+                granted = None if allocation is None else allocation.granted_bytes
+                if allocation is not None:
+                    yield from mac.gb_free(allocation)
+                return granted
+
+            granted = kernel.run_process(app(), "mac")
+            return (
+                granted, mac.stats, kernel.clock.now,
+                injector.schedule_digest(), injector.stats(),
+            )
+
+        seq, batch = run(False), run(True)
+        assert seq == batch
+        for _granted, stats, *_rest in (seq, batch):
+            assert stats.verify_retries > 0
+            assert stats.loop1_aborts > 0
+            # More back-offs than loop-1 aborts: some verify failed for good.
+            assert stats.backoffs > stats.loop1_aborts
+        assert seq[0] is not None
+
+    def test_fldc_refresh_identical(self):
+        names = [f"f{i}" for i in range(8)]
+
+        def run(batch):
+            kernel = Kernel(small_config())
+
+            def populate():
+                yield sc.mkdir("/mnt0/d")
+                # Largest first, so the refresh really reorders.
+                for i, name in enumerate(names):
+                    fd = (yield sc.create(f"/mnt0/d/{name}")).value
+                    yield sc.write(fd, (len(names) - i) * 3 * KIB)
+                    yield sc.close(fd)
+            kernel.run_process(populate(), "setup")
+            fldc = FLDC(obs=kernel.obs, batch_probes=batch)
+
+            def app():
+                report = yield from fldc.refresh_directory("/mnt0/d")
+                spans = [r["name"] for r in kernel.obs.events.spans()]
+                order, _stats = yield from fldc.layout_order(
+                    [f"/mnt0/d/{name}" for name in names]
+                )
+                return report, order, spans
+
+            report, order, spans = kernel.run_process(app(), "fldc")
+            return report, order, kernel.clock.now, spans
+
+        seq, batch = run(False), run(True)
+        assert seq == batch
+        report, order, _now, spans = seq
+        assert report.order == [f"f{i}" for i in reversed(range(8))]
+        assert order == [f"/mnt0/d/{name}" for name in report.order]
+        assert spans == ["fldc.refresh"]

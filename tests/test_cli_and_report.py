@@ -112,6 +112,41 @@ class TestCliContract:
         assert f"argument {flag}:" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, written", [
+        pytest.param(
+            ["observe", "scan", "fldc", "--out", "mine.jsonl",
+             "--chrome-trace", "mine.trace.json"],
+            ["mine-fldc.jsonl", "mine-scan.jsonl",
+             "mine.trace-fldc.json", "mine.trace-scan.json"],
+            id="observe-two-scenarios",
+        ),
+        pytest.param(
+            ["observe", "mac", "--out", "mine.jsonl", "--chrome-trace", "mine.trace.json"],
+            ["mine.jsonl", "mine.trace.json"],
+            id="observe-one-scenario",
+        ),
+        pytest.param(
+            ["observe", "scan", "mac"],
+            ["observe-mac.jsonl", "observe-scan.jsonl"],
+            id="observe-default-paths",
+        ),
+        pytest.param(
+            ["channels", "--channel", "both", "--bits", "8",
+             "--out", "c.jsonl", "--report", "c.json"],
+            ["c-residency.json", "c-residency.jsonl",
+             "c-writeback.json", "c-writeback.jsonl"],
+            id="channels-both",
+        ),
+    ])
+    def test_artifact_paths_are_suffixed_per_run(
+        self, argv, written, tmp_path, monkeypatch, capsys
+    ):
+        """Several runs in one command: each given path gets ``-<name>``
+        added to its stem, so none is dropped or overwritten."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["repro", *argv]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
+
     def test_arena_size_and_sweep_are_exclusive(self, capsys):
         assert main(["repro", "arena", "--n", "2", "--sweep", "1,2"]) == 2
         assert "not allowed" in capsys.readouterr().err
@@ -200,3 +235,19 @@ class TestReportSummaries:
         assert any("Robustness" in t for t in titles)
         assert any("Figure 7" in t for t in titles)
         assert any("Table 1" in t for t in titles)
+
+
+class TestExperimentsPin:
+    """``tools/check_experiments.py``: CI's pin of every report table."""
+
+    def test_drifted_table_fails_naming_its_experiment(self, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+        import check_experiments
+
+        assert check_experiments.main(["table2"]) == 0
+        drifted = check_experiments.run_table("table2", None).replace("FCCD", "FCDD")
+        monkeypatch.setattr(check_experiments, "run_table", lambda name, _m: drifted)
+        assert check_experiments.main(["table1", "table2"]) == 1
+        captured = capsys.readouterr()
+        assert "FCDD" in captured.out
+        assert "table1: its stdout (above) is not a block" in captured.err

@@ -241,7 +241,7 @@ class TestDcacheTwinEquivalence:
         assert third.ctime >= second.ctime
 
     def test_residency_loss_mid_sequence(self):
-        """flush_file_cache between sweeps: the replay token is dead,
+        """flush_file_cache between sweeps: the memoized cells are dead,
         the fallback walk must recharge full miss costs."""
         results = {}
         for on in (True, False):
@@ -305,7 +305,7 @@ class TestDcacheKernelAccounting:
 
     def test_residency_loss_falls_back_without_counting_a_miss(self):
         """flush empties the pool: the lookup still *hits* (the walk is
-        memoized and current), only the replay falls back."""
+        memoized and current), only the cell lookup falls back."""
         kernel, dcache = self._kernel()
 
         def probe():

@@ -96,3 +96,8 @@ class TestIncrementPolicies:
             return elapsed
         fast_elapsed = kernel.run_process(app(), "mac")
         assert fast_elapsed < 20_000_000  # no settle sleeps at all
+
+    def test_negative_settle_rejected_at_construction(self):
+        # Accepted, it would fail mid-gb_alloc as a negative sleep.
+        with pytest.raises(ValueError, match="settle_ns"):
+            MAC(settle_ns=-1)

@@ -774,6 +774,80 @@ def _page_key(i):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    warm=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=40), st.booleans()),
+        min_size=1, max_size=30,
+    ),
+    picks=st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=16),
+    demoted=st.lists(st.integers(min_value=0, max_value=1000), max_size=8),
+    absent=st.one_of(st.none(), st.integers(min_value=41, max_value=60)),
+    later=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=1000), st.booleans()),
+        max_size=12,
+    ),
+)
+def test_cells_of_then_reference_equals_touch_cached_fold(
+    warm, picks, demoted, absent, later
+):
+    """``reference_cells(cells_of(keys))`` == a clean ``touch_cached``
+    per key, for every policy, over file, meta and anon keys.
+
+    ``keys`` repeats warm keys (a walk can re-read one inode-table
+    block) and may carry one never-touched key; then ``cells_of`` must
+    return None and leave the policy exactly as it was.  Otherwise the
+    cells must stay valid across later hits and dirtying: re-referencing
+    the same cells again still equals the fold, clock hands back the
+    very same frames, and once a page is removed ``cells_of`` refuses.
+    Demoting some warm keys first clears reference bits and reorders,
+    so a lookup that moved or referenced anything would show.
+    """
+    from repro.sim.cache.clockpolicy import ClockPolicy
+
+    warm_keys = [_page_key(i) for i, _dirty in warm]
+    keys = [warm_keys[i % len(warm_keys)] for i in picks]
+    if absent is not None:
+        keys.insert(picks[0] % (len(keys) + 1), _page_key(absent))
+
+    for policy, folded in zip(_fresh_policies(), _fresh_policies()):
+        name = type(policy).__name__
+        for twin in (policy, folded):
+            for i, dirty in warm:
+                twin.touch(_page_key(i), dirty)
+            for i in demoted:
+                twin.demote(warm_keys[i % len(warm_keys)])
+        before = _policy_dump(policy)
+        cells = policy.cells_of(keys)
+        assert _policy_dump(policy) == before, name
+        if absent is not None:
+            assert cells is None, name
+            continue
+        assert cells is not None and len(cells) == len(keys), name
+
+        policy.reference_cells(cells)
+        for key in keys:
+            assert folded.touch_cached(key), name
+        assert _policy_dump(policy) == _policy_dump(folded), name
+
+        for i, dirty in later:
+            key = warm_keys[i % len(warm_keys)]
+            policy.touch(key, dirty)
+            folded.touch(key, dirty)
+        again = policy.cells_of(keys)
+        if isinstance(policy, ClockPolicy):
+            assert all(a is b for a, b in zip(again, cells)), name
+        else:
+            assert again == cells, name
+        policy.reference_cells(cells)
+        for key in keys:
+            folded.touch_cached(key)
+        assert _policy_dump(policy) == _policy_dump(folded), name
+
+        policy.remove(keys[-1])
+        assert policy.cells_of(keys) is None, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     ops=st.lists(
         st.tuples(
             st.sampled_from(("touch", "touch", "touch", "demote", "remove", "pop")),
