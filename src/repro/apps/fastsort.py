@@ -208,14 +208,12 @@ def gb_fastsort_read_phase(
             minimum -= minimum % RECORD_BYTES
             minimum = max(minimum, RECORD_BYTES)
             t0 = (yield sc.gettime()).value
-            waits_before = mac.stats.waits
+            slept_before = mac.stats.wait_ns
             allocation = yield from mac.gb_alloc_wait(
                 minimum, remaining, multiple_bytes=RECORD_BYTES
             )
             t1 = (yield sc.gettime()).value
-            wait_ns = 0  # sleeps inside gb_alloc_wait
-            waits = mac.stats.waits - waits_before
-            wait_ns = waits * 250_000_000
+            wait_ns = mac.stats.wait_ns - slept_before
             report.mac_wait_ns += wait_ns
             report.mac_probe_ns += (t1 - t0) - wait_ns
             buffer = _Buffer.from_allocation(allocation)

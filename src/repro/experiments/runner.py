@@ -64,7 +64,6 @@ class RunnerConfig:
     jobs: int = 1
     use_cache: bool = False
     cache_dir: Path = DEFAULT_CACHE_DIR
-    progress: Optional[Callable[["TrialOutcome"], None]] = None
 
 
 _active = RunnerConfig()
@@ -74,7 +73,6 @@ def configure(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
     cache_dir: Optional[os.PathLike] = None,
-    progress: Optional[Callable[["TrialOutcome"], None]] = None,
 ) -> RunnerConfig:
     """Update the active runner configuration; returns it."""
     if jobs is not None:
@@ -85,8 +83,6 @@ def configure(
         _active.use_cache = use_cache
     if cache_dir is not None:
         _active.cache_dir = Path(cache_dir)
-    if progress is not None:
-        _active.progress = progress
     return _active
 
 
@@ -105,7 +101,6 @@ def configuration(**overrides: Any) -> Iterator[RunnerConfig]:
         _active.jobs = saved.jobs
         _active.use_cache = saved.use_cache
         _active.cache_dir = saved.cache_dir
-        _active.progress = saved.progress
 
 
 # ======================================================================
@@ -125,7 +120,7 @@ def derive_seed(experiment_id: str, trial_index: int, base_seed: int = 0) -> int
 
 
 # ======================================================================
-# Trial specification and outcomes
+# Trial specification and telemetry
 # ======================================================================
 @dataclass(frozen=True)
 class TrialSpec:
@@ -148,23 +143,6 @@ class TrialSpec:
         if self.seed is not None:
             return self.seed
         return derive_seed(self.experiment_id, self.trial_index)
-
-
-@dataclass
-class TrialOutcome:
-    """What happened to one trial: its value, timing, and cache status.
-
-    ``metrics`` holds the observability samples captured while the trial
-    ran (plain dicts from :meth:`MetricsRegistry.collect`, so they pickle
-    across the process pool and round-trip through the cache).
-    """
-
-    experiment_id: str
-    trial_index: int
-    value: Any
-    elapsed_s: float
-    cached: bool
-    metrics: List[Dict[str, Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -340,7 +318,7 @@ def run_trials(
     stats = RunStats(experiment_id=experiment_id, trials=len(specs))
     wall_start = time.perf_counter()
 
-    outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
+    values: List[Any] = [None] * len(specs)
     pending: List[int] = []
     keys: List[Optional[str]] = [None] * len(specs)
     for i, spec in enumerate(specs):
@@ -348,33 +326,17 @@ def run_trials(
             keys[i] = cache_key(spec)
             hit = _cache_load(_cache_path(directory, spec, keys[i]))
             if hit is not None and hit.get("key") == keys[i]:
-                outcomes[i] = TrialOutcome(
-                    experiment_id=spec.experiment_id,
-                    trial_index=spec.trial_index,
-                    value=hit["value"],
-                    elapsed_s=0.0,
-                    cached=True,
-                    metrics=hit.get("metrics", []),
-                )
+                values[i] = hit["value"]
                 stats.cached += 1
                 stats.metric_samples = merge_samples(
-                    stats.metric_samples, outcomes[i].metrics
+                    stats.metric_samples, hit.get("metrics", [])
                 )
-                if cfg.progress is not None:
-                    cfg.progress(outcomes[i])
                 continue
         pending.append(i)
 
     def finish(i: int, value: Any, elapsed: float, metrics: List[Dict[str, Any]]) -> None:
         spec = specs[i]
-        outcomes[i] = TrialOutcome(
-            experiment_id=spec.experiment_id,
-            trial_index=spec.trial_index,
-            value=value,
-            elapsed_s=elapsed,
-            cached=False,
-            metrics=metrics,
-        )
+        values[i] = value
         stats.simulated += 1
         stats.trial_s.append(elapsed)
         stats.metric_samples = merge_samples(stats.metric_samples, metrics)
@@ -387,8 +349,6 @@ def run_trials(
                 elapsed,
                 metrics,
             )
-        if cfg.progress is not None:
-            cfg.progress(outcomes[i])
 
     if pending:
         if jobs == 1 or len(pending) == 1:
@@ -415,4 +375,4 @@ def run_trials(
 
     stats.wall_s = time.perf_counter() - wall_start
     _session_stats.append(stats)
-    return [outcome.value for outcome in outcomes]  # type: ignore[union-attr]
+    return values

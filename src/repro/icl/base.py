@@ -1,15 +1,17 @@
-"""ICL base class and the gray-box technique registry.
+"""ICL base class and the gray-box technique profile.
 
-Each ICL declares which of the paper's techniques (§2) it uses; the
-registry is what regenerates Table 2 (and, via :mod:`repro.related`,
-Table 1) directly from the implementations instead of from prose.
+Each ICL declares which of the paper's techniques (§2) it uses in its
+``profile``; Table 2 reads ``FCCD.profile``, ``FLDC.profile`` and
+``MAC.profile`` directly (Table 1 reads :mod:`repro.related`'s
+profiles), so both tables come from the implementations instead of
+from prose.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from typing import Dict, Generator, List, Optional
+from typing import Generator, List, Optional
 
 from repro.obs import DISABLED, Observability
 from repro.sim import syscalls as sc
@@ -149,16 +151,3 @@ class ICL:
                 if delay:
                     yield sc.sleep(delay)
                 attempt += 1
-
-
-_REGISTRY: Dict[str, type] = {}
-
-
-def register_icl(cls: type) -> type:
-    """Class decorator: record an ICL for the Table 2 generator."""
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def registered_icls() -> Dict[str, type]:
-    return dict(_REGISTRY)

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, List, Sequence, Tuple
 
-from repro.icl.base import ICL, TechniqueProfile, register_icl
+from repro.icl.base import ICL, TechniqueProfile
 from repro.sim import syscalls as sc
 from repro.toolbox.cluster import two_means
 
@@ -247,7 +247,6 @@ class _CellFile(ICL):
         ]
 
 
-@register_icl
 class ResidencyChannelSender(_CellFile):
     """Encodes symbols by pulling (or not pulling) cell pages into cache.
 
@@ -287,7 +286,6 @@ class ResidencyChannelSender(_CellFile):
         return {"cells_sent": sent}
 
 
-@register_icl
 class ResidencyChannelReceiver(_CellFile):
     """Reads symbols back as per-cell probe latency (FCCD's discipline)."""
 
@@ -327,7 +325,6 @@ class ResidencyChannelReceiver(_CellFile):
 # ======================================================================
 # Dirty-writeback channel (Sync+Sync lineage)
 # ======================================================================
-@register_icl
 class WritebackChannelSender(ICL):
     """Modulates the dirty throttle from a private file.
 
@@ -379,7 +376,6 @@ class WritebackChannelSender(ICL):
         return {"cells_sent": sent}
 
 
-@register_icl
 class WritebackChannelReceiver(ICL):
     """Senses the throttle with a small timed write to a private file.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.icl.base import ICL, TechniqueProfile, register_icl
+from repro.icl.base import ICL, TechniqueProfile
 from repro.obs.profile import PROFILER
 from repro.sim import syscalls as sc
 from repro.sim.clock import SECONDS
@@ -92,7 +92,6 @@ class FilePlan:
         return [(s.offset, s.length) for s in self.ordered_segments()]
 
 
-@register_icl
 class FCCD(ICL):
     """File-Cache Content Detector."""
 

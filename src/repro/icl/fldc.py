@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.icl.base import ICL, TechniqueProfile, register_icl
+from repro.icl.base import ICL, TechniqueProfile
 from repro.obs.profile import PROFILER
 from repro.sim import syscalls as sc
 
@@ -39,7 +39,6 @@ class RefreshReport:
     order: List[str] = field(default_factory=list)
 
 
-@register_icl
 class FLDC(ICL):
     """File Layout Detector and Controller."""
 
@@ -101,12 +100,10 @@ class FLDC(ICL):
         """Paths sorted by probable disk layout: (filesystem, i-number)."""
         stats = yield from self.stat_files(paths)
         # Host-side sweep analysis (no yields): profiled as icl.fldc.order.
+        _h0 = perf_counter_ns() if PROFILER.enabled else 0
+        ordered = sorted(paths, key=lambda p: (stats[p].fs_id, stats[p].ino))
         if PROFILER.enabled:
-            _h0 = perf_counter_ns()
-            ordered = sorted(paths, key=lambda p: (stats[p].fs_id, stats[p].ino))
             PROFILER.add("icl.fldc.order", perf_counter_ns() - _h0)
-        else:
-            ordered = sorted(paths, key=lambda p: (stats[p].fs_id, stats[p].ino))
         return ordered, stats
 
     def write_time_order(self, paths: Sequence[str]) -> Generator:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
-from repro.icl.base import ICL, TechniqueProfile, register_icl
+from repro.icl.base import ICL, TechniqueProfile
 from repro.sim import syscalls as sc
 from repro.sim.clock import MICROS, MILLIS, SECONDS
 
@@ -54,7 +54,6 @@ class GbAllocation:
                 yield region_id, index
 
 
-@register_icl
 class MAC(ICL):
     """Memory-based Admission Controller."""
 
@@ -388,6 +387,7 @@ class MAC(ICL):
                 )
             yield sc.sleep(retry_ns)
             self.stats.waits += 1
+            self.stats.wait_ns += retry_ns
             self.obs.count("icl.mac.waits")
             # Each failed admission attempt is an arena step: a waiting
             # tenant must not hold the shared kernel while it polls.
@@ -404,4 +404,6 @@ class MacStats:
     grants: int = 0
     denials: int = 0
     waits: int = 0
+    #: Simulated time ``gb_alloc_wait`` slept between admission attempts.
+    wait_ns: int = 0
     verify_retries: int = 0

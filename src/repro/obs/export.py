@@ -279,14 +279,15 @@ def summarize_pids(records: Iterable[Dict[str, Any]]) -> str:
 
     Self-time charges each span with its own duration minus its direct
     children's (via ``parent_id``), so one pid's column sums to time it
-    actually spent, not time double-counted through nesting.  Pid 0 is
-    the unattributed/kernel bucket; process names come from
-    ``kernel.spawn`` events when present.
+    actually spent, not time double-counted through nesting.  Only a
+    child with the parent's own pid counts: a span opened while another
+    tenant's span is open records that span as its parent, but the two
+    are interleaved work, not nested work.  Pid 0 is the
+    unattributed/kernel bucket; process names come from ``kernel.spawn``
+    events when present.
     """
     records = list(records)
     names: Dict[int, str] = {}
-    elapsed_by_id: Dict[int, int] = {}
-    child_time: Dict[int, int] = {}
     per_pid: Dict[int, Dict[str, int]] = {}
 
     def bucket(pid: int) -> Dict[str, int]:
@@ -295,6 +296,7 @@ def summarize_pids(records: Iterable[Dict[str, Any]]) -> str:
             per_pid[pid] = agg = {"events": 0, "spans": 0, "self_ns": 0}
         return agg
 
+    spans: List[Dict[str, Any]] = []
     for record in records:
         kind = record.get("type")
         if kind == "event":
@@ -303,18 +305,15 @@ def summarize_pids(records: Iterable[Dict[str, Any]]) -> str:
                 names[int(attrs["pid"])] = str(attrs.get("comm", ""))
             bucket(record.get("pid", 0))["events"] += 1
         elif kind == "span":
-            span_id = record.get("span_id")
-            elapsed = record.get("elapsed_ns") or 0
-            if span_id is not None:
-                elapsed_by_id[span_id] = elapsed
-            parent = record.get("parent_id")
-            if parent is not None:
-                child_time[parent] = child_time.get(parent, 0) + elapsed
-            agg = bucket(record.get("pid", 0))
-            agg["spans"] += 1
-    for record in records:
-        if record.get("type") != "span":
-            continue
+            spans.append(record)
+            bucket(record.get("pid", 0))["spans"] += 1
+    pid_of = {r["span_id"]: r.get("pid", 0) for r in spans if r.get("span_id") is not None}
+    child_time: Dict[int, int] = {}
+    for record in spans:
+        parent = record.get("parent_id")
+        if parent is not None and pid_of.get(parent) == record.get("pid", 0):
+            child_time[parent] = child_time.get(parent, 0) + (record.get("elapsed_ns") or 0)
+    for record in spans:
         span_id = record.get("span_id")
         elapsed = record.get("elapsed_ns") or 0
         self_ns = elapsed - child_time.get(span_id, 0) if span_id is not None else elapsed

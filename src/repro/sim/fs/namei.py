@@ -25,10 +25,8 @@ time ``t`` and return the new time; syscall handlers return
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.profile import PROFILER
 from repro.sim.cache.base import FileKey, MetaKey, PageEntry, PageKey
 from repro.sim.clock import Clock
 from repro.sim.config import MachineConfig
@@ -365,9 +363,6 @@ class NameLayer:
         # cannot move while this loop runs.
         sepoch = self.stat_epoch
         hits = stale = 0
-        # Host-time drill-down of ``syscall.stat_batch``: time spent in
-        # full memoizing walks vs the name-cache replay loop around them.
-        profiling = PROFILER.enabled
         for path in paths:
             entry = entries_get(path)
             if entry is not None:
@@ -404,12 +399,7 @@ class NameLayer:
                 continue
             start = t
             t += overhead
-            if profiling:
-                _h0 = perf_counter_ns()
-                fs, disk, inode, t = self.resolve_memo(process, path, t)
-                PROFILER.add("stat_batch.walk", perf_counter_ns() - _h0)
-            else:
-                fs, disk, inode, t = self.resolve_memo(process, path, t)
+            fs, disk, inode, t = self.resolve_memo(process, path, t)
             epoch = mm.file_epoch
             elapsed = t - start
             if inject is not None:

@@ -244,16 +244,14 @@ class Kernel:
         next_ready = self.scheduler.next_ready
         advance_to = self.clock.advance_to
         step = self._step
-        profiler = PROFILER
+        profiling = PROFILER.enabled
         steps = 0
         try:
             while True:
-                if profiler.enabled:
-                    _t0 = perf_counter_ns()
-                    process = next_ready()
-                    profiler.add("sched.next_ready", perf_counter_ns() - _t0)
-                else:
-                    process = next_ready()
+                t0 = perf_counter_ns() if profiling else 0
+                process = next_ready()
+                if profiling:
+                    PROFILER.add("sched.next_ready", perf_counter_ns() - t0)
                 if process is None:
                     return steps
                 advance_to(process.ready_at)
@@ -286,25 +284,23 @@ class Kernel:
             self._execute(process, retry)
             return
         profiling = PROFILER.enabled
-        if profiling:
-            _t0 = perf_counter_ns()
+        t0 = perf_counter_ns() if profiling else 0
         try:
             if process.pending_exception is not None:
                 exc = process.pending_exception
                 process.pending_exception = None
                 item = process.gen.throw(exc)
-            elif not process.started:
-                process.started = True
-                item = next(process.gen)
             else:
+                # ``pending_value`` is None before the first step, and
+                # ``send(None)`` is how a generator starts.
                 item = process.gen.send(process.pending_value)
         except StopIteration as stop:
             if profiling:
-                PROFILER.add("proc.advance", perf_counter_ns() - _t0)
+                PROFILER.add("proc.advance", perf_counter_ns() - t0)
             self._exit_process(process, stop.value)
             return
         if profiling:
-            PROFILER.add("proc.advance", perf_counter_ns() - _t0)
+            PROFILER.add("proc.advance", perf_counter_ns() - t0)
         if not isinstance(item, Syscall):
             raise TypeError(
                 f"{process.name} yielded {item!r}; processes must yield Syscall objects"
@@ -322,13 +318,10 @@ class Kernel:
         obs = self.obs
         start = self.clock.now
         process.stats.syscalls += 1
+        profiling = PROFILER.enabled
+        t0 = perf_counter_ns() if profiling else 0
         try:
-            if PROFILER.enabled:
-                _t0 = perf_counter_ns()
-                outcome = handler(process, *syscall.args)
-                PROFILER.add("syscall." + syscall.name, perf_counter_ns() - _t0)
-            else:
-                outcome = handler(process, *syscall.args)
+            outcome = handler(process, *syscall.args)
         except SimOSError as err:
             # Deliver the failure into the process after the base overhead.
             obs.record_syscall_error(syscall.name)
@@ -339,6 +332,8 @@ class Kernel:
             process.retry_syscall = None
             self.scheduler.make_ready(process, start + overhead)
             return
+        if profiling:
+            PROFILER.add("syscall." + syscall.name, perf_counter_ns() - t0)
         if outcome is BLOCK:
             if obs.syscall_records:  # one record per call, not per attempt
                 self._first_attempt_ns.setdefault(process.pid, start)

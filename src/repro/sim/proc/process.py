@@ -87,7 +87,6 @@ class Process:
         "pending_value",
         "pending_exception",
         "retry_syscall",
-        "started",
         "result",
         "address_space",
         "fd_table",
@@ -109,7 +108,6 @@ class Process:
         # A syscall to re-execute on wake-up (set while blocked on a pipe
         # or waitpid), instead of advancing the generator.
         self.retry_syscall: Any = None
-        self.started = False
         self.result: Any = None
         self.address_space = AddressSpace(pid)
         self.fd_table: Dict[int, OpenFile] = {}

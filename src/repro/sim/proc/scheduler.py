@@ -16,14 +16,17 @@ issue millions of syscalls through it):
   quiet machine), its entry lives in a one-element slot and dispatch
   never touches the heap at all; the slot spills into the heap the
   moment a second entry arrives, preserving (ready_at, seq) order.
-* **incremental counts + pruning** — READY/BLOCKED counts are maintained
-  at each transition instead of scanned, and finished processes move out
-  of :attr:`processes` into :attr:`finished` (kept for ``waitpid``), so
-  liveness queries never walk a long-dead population.
+* **pruning** — finished processes move out of :attr:`processes` into
+  :attr:`finished` (kept for ``waitpid``), so liveness queries never walk
+  a long-dead population; the READY count is kept at each transition
+  because every ``block`` reads it.
 
-Stale heap entries (left when a queued process is superseded or blocked
-out-of-band) are skipped lazily on pop, and the heap is compacted
-whenever it grows beyond twice the runnable population.
+Queue entries are ``(ready_at, seq, process)``; ``seq`` is unique, so
+two entries never compare their processes.  An entry is valid while its
+process is READY and still due at ``ready_at``.  Stale entries (left
+when a queued process is superseded or blocked out-of-band) are skipped
+lazily on pop, and the heap is compacted whenever it grows beyond twice
+the runnable population.
 """
 
 from __future__ import annotations
@@ -38,17 +41,6 @@ from repro.sim.proc.process import Process, ProcessState
 # Below this size the heap is left alone: compaction bookkeeping would
 # cost more than the handful of stale pops it saves.
 COMPACT_MIN_ENTRIES = 16
-
-# PCB-table state codes (see Scheduler: parallel arrays indexed by pid).
-# Plain ints: the dispatch loop's validity test compares these with
-# ``==`` on list loads instead of chasing ``process.state`` enum
-# attributes.  ``Process.state`` keeps the ProcessState enum as the
-# public view; the scheduler mirrors it here at every transition.
-_FREE = -1
-_READY = 0
-_BLOCKED = 1
-_DONE = 2
-
 
 @dataclass
 class SchedulerStats(SnapshotStats):
@@ -72,44 +64,23 @@ class Scheduler:
     """Ready queue keyed by (ready_at, sequence), with a fast slot."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, int]] = []  # (ready_at, seq, pid)
+        self._heap: List[Tuple[int, int, Process]] = []  # (ready_at, seq, process)
         # Single-runner fast slot; invariant: non-None only while the
         # heap is empty, so ordering against heap entries never arises.
-        self._fast: Optional[Tuple[int, int, int]] = None
+        self._fast: Optional[Tuple[int, int, Process]] = None
         self._seq = 0
         self.processes: Dict[int, Process] = {}  # live (READY/BLOCKED) only
         self.finished: Dict[int, Process] = {}  # DONE, kept for waitpid
-        # PCB table: parallel arrays indexed by pid slot (pids are
-        # assigned densely from 1, so a list is a perfect-hash pid map).
-        # Dispatch validity is three list loads — state code, wake time,
-        # Process ref — instead of a dict probe plus two attribute
-        # chases through the Process object.
-        self._state_tab: List[int] = [_FREE]  # slot 0 unused
-        self._ready_tab: List[int] = [0]
-        self._proc_tab: List[Optional[Process]] = [None]
         self.stats = SchedulerStats()
         self._last_pid: Optional[int] = None
         self._runnable = 0
-        self._blocked = 0
         #: Optional interference hook (repro.sim.inject): called as
         #: ``hook(pid, at) -> extra_ns`` each time a process becomes
         #: ready, modelling stolen scheduler slots and coarse timers.
         self.wake_delay_hook: Optional[Callable[[int, int], int]] = None
 
     def add(self, process: Process) -> None:
-        pid = process.pid
-        self.processes[pid] = process
-        tab = self._proc_tab
-        if len(tab) <= pid:
-            # Amortized growth: double capacity (at least to pid+1) with
-            # one extend per array instead of appending slot-by-slot —
-            # the arena spawns thousands of clients back to back, and
-            # per-spawn cost must not scale with the table size.
-            grow = max(pid + 1 - len(tab), len(tab))
-            tab.extend([None] * grow)
-            self._state_tab.extend([_FREE] * grow)
-            self._ready_tab.extend([0] * grow)
-        tab[pid] = process
+        self.processes[process.pid] = process
         self._runnable += 1  # processes are born READY
         self.make_ready(process, process.ready_at)
 
@@ -117,15 +88,11 @@ class Scheduler:
         if self.wake_delay_hook is not None:
             at += self.wake_delay_hook(process.pid, at)
         if process.state is ProcessState.BLOCKED:
-            self._blocked -= 1
             self._runnable += 1
         process.state = ProcessState.READY
         process.ready_at = at
-        pid = process.pid
-        self._state_tab[pid] = _READY
-        self._ready_tab[pid] = at
         self._seq += 1
-        entry = (at, self._seq, process.pid)
+        entry = (at, self._seq, process)
         if self._fast is None and not self._heap:
             self._fast = entry
             return
@@ -138,9 +105,7 @@ class Scheduler:
         """Mark blocked; its stale heap entries are skipped lazily."""
         if process.state is ProcessState.READY:
             self._runnable -= 1
-            self._blocked += 1
         process.state = ProcessState.BLOCKED
-        self._state_tab[process.pid] = _BLOCKED
         self._maybe_compact()
 
     def finish(self, process: Process) -> None:
@@ -151,14 +116,9 @@ class Scheduler:
         """
         if process.state is ProcessState.READY:
             self._runnable -= 1
-        elif process.state is ProcessState.BLOCKED:
-            self._blocked -= 1
         process.state = ProcessState.DONE
-        pid = process.pid
-        self._state_tab[pid] = _DONE
-        self._proc_tab[pid] = None  # finished dict keeps the waitpid ref
-        self.processes.pop(pid, None)
-        self.finished[pid] = process
+        self.processes.pop(process.pid, None)
+        self.finished[process.pid] = process
 
     def reap(self, pid: int) -> bool:
         """Drop a DONE process's PCB entirely; ``waitpid`` loses sight of it.
@@ -169,15 +129,10 @@ class Scheduler:
         reaps it so the retired population stays O(live), not O(ever
         spawned).  Returns False when the pid is not in ``finished``
         (still live, never spawned, or already reaped) — live processes
-        are deliberately not reapable.
+        are deliberately not reapable.  A reaped process stays DONE, so
+        its stale queue entries still fail the validity test.
         """
-        process = self.finished.pop(pid, None)
-        if process is None:
-            return False
-        # Free the PCB slot: any stale heap entry for this pid now fails
-        # the `_READY` validity test exactly as it did under `_DONE`.
-        self._state_tab[pid] = _FREE
-        return True
+        return self.finished.pop(pid, None) is not None
 
     def lookup(self, pid: int) -> Optional[Process]:
         """Find a process, live or finished (the waitpid view)."""
@@ -187,45 +142,38 @@ class Scheduler:
         return self.finished.get(pid)
 
     def next_ready(self) -> Optional[Process]:
-        """Pop the earliest READY process, discarding stale entries.
-
-        Entry validity reads the PCB arrays, not the Process objects:
-        heap entries only exist for pids that passed through
-        :meth:`add`, so the pid is always within the table.
-        """
-        state_tab = self._state_tab
-        ready_tab = self._ready_tab
+        """Pop the earliest READY process, discarding stale entries."""
+        ready = ProcessState.READY
         stats = self.stats
         while True:
             if self._fast is not None:
-                entry_at, _seq, pid = self._fast
+                entry_at, _seq, process = self._fast
                 self._fast = None
                 fast = True
             elif self._heap:
-                entry_at, _seq, pid = heapq.heappop(self._heap)
+                entry_at, _seq, process = heapq.heappop(self._heap)
                 fast = False
             else:
                 return None
-            if state_tab[pid] == _READY and ready_tab[pid] == entry_at:
+            if process.state is ready and process.ready_at == entry_at:
                 stats.dispatches += 1
                 if fast:
                     stats.fast_dispatches += 1
-                if pid != self._last_pid:
+                if process.pid != self._last_pid:
                     stats.context_switches += 1
-                    self._last_pid = pid
-                return self._proc_tab[pid]
+                    self._last_pid = process.pid
+                return process
 
     def _maybe_compact(self) -> None:
         """Rebuild the heap when stale entries dominate live ones."""
         heap = self._heap
         if len(heap) < COMPACT_MIN_ENTRIES or len(heap) <= 2 * self._runnable:
             return
-        state_tab = self._state_tab
-        ready_tab = self._ready_tab
+        ready = ProcessState.READY
         live = [
             entry
             for entry in heap
-            if state_tab[entry[2]] == _READY and ready_tab[entry[2]] == entry[0]
+            if entry[2].state is ready and entry[2].ready_at == entry[0]
         ]
         heapq.heapify(live)
         self._heap = live
@@ -235,7 +183,7 @@ class Scheduler:
         return self._runnable
 
     def blocked_count(self) -> int:
-        return self._blocked
+        return len(self.blocked())
 
     def blocked(self) -> List[Process]:
         return [p for p in self.processes.values() if p.state is ProcessState.BLOCKED]

@@ -14,12 +14,10 @@ path on unified-VM platforms.
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.profile import PROFILER
 from repro.sim.cache.base import AnonKey
 from repro.sim.clock import Clock
 from repro.sim.config import MachineConfig
@@ -139,7 +137,7 @@ class VMLayer:
         if npages <= 0:
             raise InvalidArgument("touch_range needs a positive page count")
         times, _stopped, total = self._touch_run(
-            process, region_id, start_page, npages, 1, None, 1, 1, "touch_range"
+            process, region_id, start_page, npages, 1, None, 1, 1
         )
         return times, total
 
@@ -171,7 +169,7 @@ class VMLayer:
             raise InvalidArgument("need slow_count >= 1 and slow_window >= 1")
         times, stopped, total = self._touch_run(
             process, region_id, start_page, npages, stride,
-            threshold_ns, slow_count, slow_window, "touch_batch",
+            threshold_ns, slow_count, slow_window,
         )
         return TouchBatchResult(tuple(times), stopped), total
 
@@ -185,7 +183,6 @@ class VMLayer:
         threshold_ns: Optional[int],
         slow_count: int,
         slow_window: int,
-        section: str,
     ):
         """Shared touch interior; returns ``(per_page_times, stopped, total)``.
 
@@ -232,22 +229,12 @@ class VMLayer:
         stopped = False
         touched = space.touched
         resident_touch = self.mm.anon_fault_resident
-        # Host-time drill-down of ``syscall.touch_batch`` /
-        # ``syscall.touch_range``: full fault servicing vs the resident
-        # fast loop around it.
-        profiling = PROFILER.enabled
-        fault_section = section + ".fault"
         for index in range(start_page, start_page + npages, stride):
             before = t
             page = base_page + index
             if in_bounds and page in touched and resident_touch(AnonKey(pid, page)):
                 t += mem_touch_ns
                 elapsed = mem_touch_ns
-            elif profiling:
-                _h0 = perf_counter_ns()
-                t = self.touch_one(process, region_id, index, t)
-                PROFILER.add(fault_section, perf_counter_ns() - _h0)
-                elapsed = t - before
             else:
                 t = self.touch_one(process, region_id, index, t)
                 elapsed = t - before

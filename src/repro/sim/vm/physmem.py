@@ -70,7 +70,6 @@ class MemoryManager:
         self.obs = obs if obs is not None else DISABLED
         self.swap = SwapSpace(swap_capacity_pages)
         self.daemon_stats = PageDaemonStats()
-        self._anon_resident: Dict[int, int] = {}
         self._dirty_file_pages = 0
         # Per-(fs_id, ino) indexes of dirty FileKey pages: what fsync
         # writes back, without walking the file's clean pages.  Updated
@@ -153,7 +152,7 @@ class MemoryManager:
         return len(self._anon_pool)
 
     def resident_anon_pages(self, pid: int) -> int:
-        return self._anon_resident.get(pid, 0)
+        return self._anon_index.count(pid)
 
     def file_pool_stats(self) -> CacheStats:
         """Hit/miss/eviction accounting of the (unified or file) pool."""
@@ -202,7 +201,6 @@ class MemoryManager:
             key = entry.key
             if isinstance(key, AnonKey):
                 anon += 1
-                self._anon_resident[key.pid] = self._anon_resident.get(key.pid, 1) - 1
                 self.swap.swap_out(key)
                 self._anon_index.clear(key.pid, key.index)
                 owner: Optional[int] = key.pid
@@ -489,7 +487,6 @@ class MemoryManager:
         victims = self._reclaim(self._anon_pool, self._anon_capacity, 1)
         cell = self._anon_pool.insert_absent(key, True)
         self._anon_index.set(key.pid, key.index, cell)
-        self._anon_resident[key.pid] = self._anon_resident.get(key.pid, 0) + 1
 
         if touched_before and self.swap.slot_of(key) is not None:
             slot = self.swap.swap_in(key)
@@ -561,7 +558,6 @@ class MemoryManager:
         keys = [AnonKey(pid, page) for page in range(start, stop)]
         cells = pool.insert_absent_many(keys, True)
         self._anon_index.register_run(pid, start, cells)
-        self._anon_resident[pid] = self._anon_resident.get(pid, 0) + count
         if self.obs.enabled:
             self._fault_counters[FaultKind.ZERO_FILL].value += count
         return True
@@ -588,8 +584,6 @@ class MemoryManager:
             discard = self.swap.discard
             for key in keys:
                 discard(key)
-        if freed:
-            self._anon_resident[pid] = self._anon_resident.get(pid, freed) - freed
         return freed
 
     def release_process(self, pid: int, keys: List[AnonKey]) -> None:
@@ -597,5 +591,4 @@ class MemoryManager:
         for key in keys:
             self._anon_pool.remove(key)
         self.swap.discard_process(pid)
-        self._anon_resident.pop(pid, None)
         self._anon_index.drop_owner(pid)

@@ -111,6 +111,11 @@ class ResidencyIndex:
         slab.cells[start:stop] = cells
 
     # Vectorized queries (fast-path side) ------------------------------
+    def count(self, owner: Hashable) -> int:
+        """How many of ``owner``'s pages are resident."""
+        slab = self._owners.get(owner)
+        return 0 if slab is None else int(np.count_nonzero(slab.present))
+
     def cells_if_all_present(
         self, owner: Hashable, start: int, stop: int, step: int = 1
     ) -> Optional[List[Any]]:

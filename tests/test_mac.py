@@ -241,6 +241,30 @@ class TestGbAlloc:
         kernel.run()
         assert proc.result == "timed-out"
 
+    def test_wait_ns_is_the_time_slept_between_attempts(self, kernel):
+        available = kernel.config.available_bytes
+        retry_ns = 70_000_000  # not the 250 ms default
+        mac = make_mac(kernel)
+
+        def hog():
+            pages = int(available * 0.9) // kernel.config.page_size
+            region = (yield sc.vm_alloc(pages * kernel.config.page_size)).value
+            yield sc.touch_range(region, 0, pages)
+            yield sc.sleep(1_000_000_000)
+            yield sc.vm_free(region)
+
+        def mac_app():
+            yield sc.sleep(200_000_000)
+            allocation = yield from mac.gb_alloc_wait(
+                (int(available * 0.5) // MIB) * MIB, available, MIB, retry_ns=retry_ns
+            )
+            yield from mac.gb_free(allocation)
+        kernel.spawn(hog(), "hog")
+        kernel.spawn(mac_app(), "mac")
+        kernel.run()
+        assert mac.stats.waits > 0
+        assert mac.stats.wait_ns == mac.stats.waits * retry_ns
+
     def test_stats_track_activity(self, kernel):
         mac = make_mac(kernel)
 

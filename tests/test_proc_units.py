@@ -1,6 +1,10 @@
 """Unit tests for the process/scheduler building blocks."""
 
+import bisect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cache.base import FileKey
 from repro.sim.cache.lru import LRUPolicy
@@ -185,6 +189,127 @@ class TestScheduler:
         assert sched.lookup(9) is child
         assert sched.lookup(9).result == "answer"
         assert 9 not in sched.processes
+
+
+class NaiveScheduler:
+    """Reference ready queue: one sorted entry list, no fast slot, no compaction.
+
+    An entry ``(ready_at, seq, pid)`` dispatches iff its process is READY
+    and still due at ``ready_at`` — the validity rule the real scheduler
+    applies on every pop and sweep.
+    """
+
+    def __init__(self, wake_delay=None):
+        self.entries = []
+        self.seq = 0
+        self.state = {}  # pid -> "ready" | "blocked" | "done"; reaped pids leave
+        self.ready_at = {}
+        self.dispatches = 0
+        self.wake_delay = wake_delay
+
+    def due(self, pid, at):
+        """The ready time ``make_ready(pid, at)`` will record."""
+        return at + self.wake_delay(pid, at) if self.wake_delay else at
+
+    def valid(self, entry):
+        at, _seq, pid = entry
+        return self.state.get(pid) == "ready" and self.ready_at[pid] == at
+
+    def make_ready(self, pid, at):
+        at = self.due(pid, at)
+        self.state[pid] = "ready"
+        self.ready_at[pid] = at
+        self.seq += 1
+        bisect.insort(self.entries, (at, self.seq, pid))
+
+    def next_ready(self):
+        while self.entries:
+            entry = self.entries.pop(0)
+            if self.valid(entry):
+                self.dispatches += 1
+                return entry[2]
+        return None
+
+    def live(self):
+        return sorted(p for p, s in self.state.items() if s != "done")
+
+    def count(self, state):
+        return sum(1 for s in self.state.values() if s == state)
+
+
+SCHED_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "ready", "ready", "ready", "ready", "block", "block",
+                         "finish", "reap", "next"]),
+        st.integers(min_value=0, max_value=63),  # which process
+        st.integers(min_value=0, max_value=12),  # ready time: small, so ties repeat
+    ),
+    min_size=40,
+    max_size=200,
+)
+
+
+def test_scheduler_matches_naive_reference():
+    """Dispatch order and counts equal a model without the fast paths.
+
+    Compaction only drops entries that fail the validity rule, so it is
+    exact as long as a dropped entry can never pass the rule again: the
+    generator never readies a process at the time of one of its queued
+    entries that has gone stale (in the kernel, a process has at most
+    one queued entry at a time).
+    """
+    compactions = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=SCHED_OPS, hooked=st.booleans())
+    def check(ops, hooked):
+        hook = (lambda pid, at: (pid + at) % 3) if hooked else None
+        sched = Scheduler()
+        sched.wake_delay_hook = hook
+        model = NaiveScheduler(hook)
+        procs = {}
+        for kind, pick, at in ops:
+            live = model.live()
+            if kind == "add":
+                pid = len(procs) + 1
+                procs[pid] = process = Process(pid, idle())
+                process.ready_at = at
+                sched.add(process)
+                model.make_ready(pid, at)
+            elif kind == "reap":
+                pid = pick % (len(procs) + 2)  # pid 0 and len+1 never existed
+                expected = model.state.get(pid) == "done"
+                assert sched.reap(pid) is expected
+                if expected:
+                    del model.state[pid]
+            elif kind == "next":
+                got = sched.next_ready()
+                want = model.next_ready()
+                assert (got.pid if got is not None else None) == want
+            elif live:
+                pid = live[pick % len(live)]
+                if kind == "ready":
+                    due = model.due(pid, at)
+                    if any(
+                        e[2] == pid and e[0] == due and not model.valid(e)
+                        for e in model.entries
+                    ):
+                        continue  # would revive a stale entry
+                    sched.make_ready(procs[pid], at)
+                    model.make_ready(pid, at)
+                elif kind == "block":
+                    sched.block(procs[pid])
+                    model.state[pid] = "blocked"
+                else:
+                    sched.finish(procs[pid])
+                    model.state[pid] = "done"
+            assert sched.stats.dispatches == model.dispatches
+            assert sched.runnable_count() == model.count("ready")
+            assert sched.blocked_count() == model.count("blocked")
+        compactions.append(sched.stats.heap_compactions)
+
+    check()
+    assert any(compactions), "no example compacted the heap"
 
 
 class TestCachePolicyHelpers:

@@ -112,13 +112,6 @@ class TestRunTrials:
         assert "unit" in stats.summary()
         assert drain_stats() == []
 
-    def test_progress_callback_sees_every_trial(self):
-        seen = []
-        with configuration(progress=seen.append):
-            run_trials(specs_for(4))
-        assert [o.trial_index for o in seen] == [0, 1, 2, 3]
-        assert all(not o.cached for o in seen)
-
 
 class TestCache:
     def test_hit_on_second_run(self, tmp_path):
