@@ -422,7 +422,14 @@ def _setup_machine(kernel: Kernel, specs: Sequence[ClientSpec]) -> None:
 # ======================================================================
 @dataclass
 class ArenaReport:
-    """One arena run: per-client rows plus machine-wide aggregates."""
+    """One arena run: per-client rows plus machine-wide aggregates.
+
+    The report keeps summaries, not the obs stream: the interference
+    matrix (``interference[instigator][victim]`` reclaim counts), the
+    ``{pid: comm}`` names that label it and the stream's record count,
+    which is all :meth:`render` prints.  Pass ``out_path`` to
+    :func:`run_arena` for the records themselves.
+    """
 
     n: int
     policy: str
@@ -438,7 +445,9 @@ class ArenaReport:
     kind_accuracy: Dict[str, float] = field(default_factory=dict)
     reclaims: int = 0
     digest: str = ""
-    records: List[Dict[str, Any]] = field(default_factory=list)
+    interference: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    names: Dict[int, str] = field(default_factory=dict)
+    record_count: int = 0
     out_path: Optional[str] = None
     report_path: Optional[str] = None
 
@@ -519,17 +528,13 @@ class ArenaReport:
         parts.append(format_table(headers, table_rows))
         if note:
             parts.append(note)
-        matrix_records = (r for r in self.records if r.get("type") == "event")
-        matrix = interference_matrix(matrix_records)
-        if matrix:
+        if self.interference:
             parts.append("")
             parts.append("interference matrix (reclaim events, evictor x victim):")
-            parts.append(
-                render_matrix(matrix, process_names(self.records), top=8)
-            )
+            parts.append(render_matrix(self.interference, self.names, top=8))
         if self.out_path:
             parts.append("")
-            parts.append(f"wrote {len(self.records)} records to {self.out_path}")
+            parts.append(f"wrote {self.record_count} records to {self.out_path}")
         if self.report_path:
             parts.append(f"wrote report to {self.report_path}")
         return "\n".join(parts)
@@ -551,7 +556,8 @@ def run_arena(
 
     ``out_path`` dumps the full obs stream as JSONL (the artifact CI
     validates); ``report_path`` writes the fairness/accuracy/throughput
-    report as JSON.
+    report as JSON.  The returned report holds only summaries of the
+    stream, so neither the records nor the kernel outlive the call.
     """
     config = config or arena_config()
     specs = build_specs(n, seed, config, mix)
@@ -629,11 +635,8 @@ def _build_report(
                 "result": result or client.result,
             }
         )
-    reclaims = sum(
-        1
-        for r in records
-        if r.get("type") == "event" and r.get("name") == "kernel.reclaim"
-    )
+    # One cell per reclaim event, so the cells sum to the reclaim count.
+    matrix = interference_matrix(records)
     return ArenaReport(
         n=n,
         policy=policy,
@@ -649,9 +652,11 @@ def _build_report(
         kind_accuracy={
             kind: sum(values) / len(values) for kind, values in by_kind.items()
         },
-        reclaims=reclaims,
+        reclaims=sum(sum(row.values()) for row in matrix.values()),
         digest=stream_digest(records),
-        records=records,
+        interference=matrix,
+        names=process_names(records),
+        record_count=len(records),
     )
 
 

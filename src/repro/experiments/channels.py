@@ -112,7 +112,11 @@ def channels_config() -> MachineConfig:
 # ======================================================================
 @dataclass
 class ChannelReport:
-    """One transmission: channel quality plus the determinism pin."""
+    """One transmission: channel quality plus the determinism pin.
+
+    Of the obs stream the report keeps its digest and ``record_count``;
+    pass ``out_path`` to :func:`run_channel` for the records themselves.
+    """
 
     channel: str
     platform: str
@@ -132,7 +136,7 @@ class ChannelReport:
     host_elapsed_s: float
     digest: str
     latencies: List[int] = field(default_factory=list)
-    records: List[Dict[str, Any]] = field(default_factory=list)
+    record_count: int = 0
     out_path: Optional[str] = None
     report_path: Optional[str] = None
 
@@ -186,7 +190,7 @@ class ChannelReport:
             parts.append(f"sent:    {sent}")
             parts.append(f"decoded: {self.decoded_text}")
         if self.out_path:
-            parts.append(f"wrote {len(self.records)} records to {self.out_path}")
+            parts.append(f"wrote {self.record_count} records to {self.out_path}")
         if self.report_path:
             parts.append(f"wrote report to {self.report_path}")
         return "\n".join(parts)
@@ -385,7 +389,7 @@ def run_channel(
         host_elapsed_s=host_elapsed,
         digest=stream_digest(records),
         latencies=latencies,
-        records=records,
+        record_count=len(records),
     )
     if out_path is not None:
         write_jsonl(Path(out_path), records)

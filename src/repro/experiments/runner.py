@@ -14,10 +14,12 @@ while keeping three guarantees the reproduction depends on:
   order, never completion order, so ``jobs=1`` and ``jobs=N`` produce
   bit-identical rows.
 * **Caching** — each trial's result can be persisted to disk, keyed by a
-  hash of the experiment id, the trial function (module path plus source
-  fingerprint), its canonicalised params (including the
-  :class:`MachineConfig` and platform name), and the seed.  Re-running an
-  unchanged configuration is instant; changing any input re-simulates.
+  hash of the experiment id, the trial function's module path, the code
+  identity of the whole ``repro`` package (:func:`code_identity`: every
+  ``.py`` file plus the Python and numpy versions), its canonicalised
+  params (including the :class:`MachineConfig` and platform name), and
+  the seed.  Re-running an unchanged tree and configuration is instant;
+  editing any module, or changing any input, re-simulates.
 * **Telemetry** — per-trial wall times and hit/miss counts accumulate in
   session stats that the CLI, the report generator, and the benchmark
   suite surface.
@@ -31,10 +33,11 @@ structurally identical (tuples become lists, dict keys become strings).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
-import inspect
 import json
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -42,10 +45,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.obs import capture_metrics
 from repro.obs.metrics import merge_samples
 
 DEFAULT_CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
+
+#: The ``repro`` package directory whose sources key the trial cache.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 
 # ======================================================================
@@ -199,24 +207,31 @@ def _canonical(value: Any) -> Any:
     return value
 
 
-def _code_fingerprint(fn: Callable) -> str:
-    """A short hash of the trial function's source, for invalidation.
+@functools.lru_cache(maxsize=None)
+def code_identity(root: Path) -> str:
+    """sha256 over the code a trial result depends on, once per process.
 
-    Editing the trial body re-simulates; edits elsewhere in the package
-    do not (delete the cache directory after simulator changes).
+    Hashes every ``.py`` file under ``root`` (relative path plus bytes,
+    in sorted path order) and the Python and numpy versions, so a result
+    simulated by other code — any edited module, not just the trial
+    function — is never served from the cache.
     """
-    try:
-        source = inspect.getsource(fn)
-    except (OSError, TypeError):
-        source = getattr(fn, "__qualname__", repr(fn))
-    return hashlib.sha256(source.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(
+        f"python {platform.python_version()} numpy {np.__version__}\n".encode()
+    )
+    sources = sorted((path.relative_to(root).as_posix(), path) for path in root.rglob("*.py"))
+    for relative, path in sources:
+        data = path.read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def cache_key(spec: TrialSpec) -> str:
     payload = {
         "experiment": spec.experiment_id,
         "fn": f"{spec.fn.__module__}.{spec.fn.__qualname__}",
-        "code": _code_fingerprint(spec.fn),
+        "code": code_identity(PACKAGE_ROOT),
         "params": _canonical(dict(spec.params)),
         "seed": spec.resolved_seed(),
     }

@@ -59,10 +59,15 @@ class Observability:
 
     def __init__(self, clock: Any = None, *, enabled: bool = True,
                  event_capacity: int = DEFAULT_EVENT_CAPACITY) -> None:
-        self._clock = clock
         self.enabled = enabled
         self.metrics = MetricsRegistry()
-        self.events = EventStream(self.now, capacity=event_capacity)
+        # The ring reads the clock alone, never this instance: a ring
+        # that referred back here would keep both in a reference cycle,
+        # alive after their kernel until a cyclic-GC pass.
+        self.events = EventStream(
+            (lambda: clock.now) if clock is not None else (lambda: 0),
+            capacity=event_capacity,
+        )
         # Per-syscall (counter, histogram) pairs, cached by name so the
         # kernel's dispatch loop pays one dict lookup, not an f-string
         # plus two registry lookups, per call.
@@ -90,9 +95,6 @@ class Observability:
         self.syscall_records = False
         if enabled and _ACTIVE_CAPTURE is not None:
             _ACTIVE_CAPTURE.attach(self)
-
-    def now(self) -> int:
-        return self._clock.now if self._clock is not None else 0
 
     def set_pid(self, pid: Optional[int]) -> None:
         """Attribute subsequent records to ``pid`` (``None`` detaches).

@@ -10,8 +10,11 @@ intervals into named, get-or-create sections:
 * ``proc.advance`` — generator resumption (the ICL/user host code that
   runs between syscalls);
 * ``syscall.<name>`` — each syscall handler, measured around the
-  dispatch-table call (errors are not sampled);
-* ``icl.*`` sections around the ICLs' host-side analysis loops.
+  dispatch-table call (errors are not sampled).
+
+ICL host code (analysis loops included) runs inside a generator resume,
+so it counts in ``proc.advance``: a section inside it would be counted
+twice.
 
 The profiler is *flat* — no stack, no self-time bookkeeping — because
 simulated processes interleave and spans of host work close out of LIFO

@@ -11,14 +11,16 @@ PR 7's attribution plane (pid-stamped obs, ``ObsView``,
 Mechanism
 ---------
 The arena registers one extra syscall, ``arena_park``, on the shared
-kernel's dispatch table.  Each client is one kernel process running a
-*shell* generator (:meth:`Arena._shell`): the shell forwards its body's
-syscalls to the kernel unchanged — including re-throwing kernel-delivered
-errors, so ``ICL._retry`` works untouched — and yields ``arena_park`` at
-every step boundary.  The park handler blocks the caller through the
-kernel's standard BLOCK/retry protocol unless the arena has granted that
-pid its next turn.  Granting is: mark the pid, make the process ready,
-and run the machine to quiescence (:meth:`Kernel.run_until_blocked`).
+kernel's dispatch table, and removes it when :meth:`Arena.run` ends so
+the kernel holds no reference back to the arena.  Each client is one
+kernel process running a *shell* generator (:meth:`Arena._shell`): the
+shell forwards its body's syscalls to the kernel unchanged — including
+re-throwing kernel-delivered errors, so ``ICL._retry`` works untouched —
+and yields ``arena_park`` at every step boundary.  The park handler
+blocks the caller through the kernel's standard BLOCK/retry protocol
+unless the arena has granted that pid its next turn.  Granting is: mark
+the pid, make the process ready, and run the machine to quiescence
+(:meth:`Kernel.run_until_blocked`).
 One grant therefore runs exactly one client turn, plus any kernel-level
 wakeups the turn causes (children, pipe peers), which proceed by
 simulated readiness exactly as under :meth:`Kernel.run`.
@@ -310,9 +312,9 @@ class Arena:
     """Interleave N resumable clients on one shared kernel.
 
     Construct with a kernel (the arena registers ``arena_park`` on its
-    live dispatch table — one arena per kernel), add clients, then
-    :meth:`run` once.  ``seed`` feeds both the policy schedule and the
-    per-client RNG streams.
+    live dispatch table until :meth:`run` ends — one arena per kernel at
+    a time), add clients, then :meth:`run` once.  ``seed`` feeds both the
+    policy schedule and the per-client RNG streams.
     """
 
     def __init__(
@@ -391,8 +393,10 @@ class Arena:
         while True:
             try:
                 if throw is not None:
-                    exc, throw = throw, None
-                    item = body.throw(exc)
+                    item = body.throw(throw)
+                    # Release it now: its traceback holds the kernel's
+                    # dispatch frames, and this frame outlives the throw.
+                    throw = None
                 else:
                     item = body.send(send)
             except StopIteration as stop:
@@ -438,6 +442,12 @@ class Arena:
         if self._ran:
             raise RuntimeError("arena already ran; build a new one")
         self._ran = True
+        try:
+            return self._run(max_turns)
+        finally:
+            self.kernel.syscalls.unregister(ARENA_PARK)
+
+    def _run(self, max_turns: Optional[int]) -> List[ArenaClient]:
         if not self.clients:
             return []
         kernel = self.kernel

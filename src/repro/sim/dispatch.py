@@ -12,7 +12,8 @@ At kernel construction each subsystem registers its handlers
 experimental syscalls plug in without growing a central if/elif chain.
 :meth:`SyscallTable.override` swaps an installed handler at run time —
 the fault injector (:mod:`repro.sim.inject`) wraps probe syscalls that
-way.
+way — and :meth:`SyscallTable.unregister` removes one when its owner is
+done with the kernel (the arena, at the end of its run).
 """
 
 from __future__ import annotations
@@ -67,6 +68,15 @@ class SyscallTable:
             )
         self._handlers[name] = handler
         return previous
+
+    def unregister(self, name: str) -> Handler:
+        """Remove a registered handler; returns it.
+
+        For handlers owned by an object that does not outlive its use of
+        the kernel (the arena's ``arena_park``): left installed, the
+        bound method would tie that object and the kernel in a cycle.
+        """
+        return self._handlers.pop(name)
 
     def get(self, name: str) -> Optional[Handler]:
         return self._handlers.get(name)

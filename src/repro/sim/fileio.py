@@ -3,9 +3,9 @@
 Everything reachable through a file descriptor lives here — ``open`` /
 ``create`` / ``close`` / ``read`` / ``write`` / ``pread`` / ``pwrite`` /
 ``seek`` / ``fsync`` / ``fstat`` plus the vectored ``pread_batch`` fast
-path — together with the open-file registry (``is_open`` is what keeps
-``unlink`` honest in the name layer) and the optional real-byte content
-store behind reads and writes.
+path — together with the open-file registry (the count dict it shares
+with the name layer keeps ``unlink`` honest) and the optional real-byte
+content store behind reads and writes.
 
 Descriptors on pipes are recognized here and delegated to the process
 layer (:class:`~repro.sim.proc.syscalls.ProcLayer`), which owns pipe
@@ -48,6 +48,7 @@ class FileIO:
         page_cache: PageCacheManager,
         procs: ProcLayer,
         contents: Dict[Tuple[int, int], bytearray],
+        open_counts: Dict[Tuple[int, int], int],
     ) -> None:
         self.config = config
         self.clock = clock
@@ -56,7 +57,10 @@ class FileIO:
         self.page_cache = page_cache
         self.procs = procs
         self.contents = contents
-        self._open_count: Dict[Tuple[int, int], int] = {}
+        #: ``(fs_id, ino)`` → live descriptor count; a key is present
+        #: only while its count is positive (the name layer's unlink
+        #: reads the same dict).
+        self._open_count = open_counts
         #: Optional fault injector (repro.sim.inject.FaultInjector); when
         #: set, per-probe elapsed times pass through ``probe_elapsed`` so
         #: the batched and sequential paths observe one noise stream.
@@ -82,10 +86,6 @@ class FileIO:
     # ------------------------------------------------------------------
     # Open-file registry
     # ------------------------------------------------------------------
-    def is_open(self, fs_id: int, ino: int) -> bool:
-        """True while any process holds a descriptor on the file."""
-        return self._open_count.get((fs_id, ino), 0) > 0
-
     def _track_open(self, fs_id: int, ino: int) -> None:
         self._open_count[(fs_id, ino)] = self._open_count.get((fs_id, ino), 0) + 1
 

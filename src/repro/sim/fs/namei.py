@@ -25,7 +25,7 @@ time ``t`` and return the new time; syscall handlers return
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.sim.cache.base import FileKey, MetaKey, PageEntry, PageKey
 from repro.sim.clock import Clock
@@ -59,9 +59,10 @@ STAT_PRESERVING_SYSCALLS = frozenset(
 class NameLayer:
     """Path resolution and namespace operations over mounted filesystems.
 
-    ``is_open`` is bound after construction (the open-file registry
-    lives in the file-I/O layer above): ``unlink`` consults it so a
-    file with live descriptors cannot be removed.
+    ``open_counts`` is the open-file registry the file-I/O layer above
+    keeps (``(fs_id, ino)`` → live descriptor count, a key present only
+    while positive): ``unlink`` consults it so a file with live
+    descriptors cannot be removed.
     """
 
     def __init__(
@@ -73,6 +74,7 @@ class NameLayer:
         mounts: MountTable,
         disk_of_fs: Mapping[int, Disk],
         contents: Dict[Tuple[int, int], bytearray],
+        open_counts: Mapping[Tuple[int, int], int],
         name_cache: Optional[NameCache] = None,
     ) -> None:
         self.config = config
@@ -82,7 +84,7 @@ class NameLayer:
         self.mounts = mounts
         self._disk_of_fs = disk_of_fs
         self._contents = contents
-        self._is_open: Callable[[int, int], bool] = lambda fs_id, ino: False
+        self._open_counts = open_counts
         #: Optional fault injector (repro.sim.inject.FaultInjector); when
         #: set, per-stat elapsed times pass through ``probe_elapsed`` so
         #: ``stat``, ``stat_batch``, and ``utimes`` observe one noise
@@ -99,10 +101,6 @@ class NameLayer:
         #: as-is (it is an immutable tuple).  Conservative by design:
         #: a syscall that *might* mutate always bumps.
         self.stat_epoch: int = 0
-
-    def bind_open_counts(self, is_open: Callable[[int, int], bool]) -> None:
-        """Wire the file-I/O layer's open-descriptor check into unlink."""
-        self._is_open = is_open
 
     def register_syscalls(self, table: SyscallTable) -> None:
         table.register("stat", self.sys_stat)
@@ -439,7 +437,7 @@ class NameLayer:
         t = t0 + self.config.syscall_overhead_ns
         fs, disk, parent, name, t = self.resolve_parent(process, path, t)
         ino = fs.get_directory(parent.ino).lookup(name)
-        if self._is_open(fs.fs_id, ino):
+        if (fs.fs_id, ino) in self._open_counts:
             raise InvalidArgument(f"{path!r} is still open; close it before unlink")
         dead, _freed = fs.unlink(parent.ino, name, self.clock.now)
         self.namespace_changed(fs)

@@ -14,13 +14,22 @@ machinery lives in layered subsystems (see ``ARCHITECTURE.md``):
   between memory and disk (clustered fills, writebacks, throttling);
 * :class:`~repro.sim.vm.faults.VMLayer` — anonymous-memory syscalls and
   fault servicing;
-* :class:`~repro.sim.proc.syscalls.ProcLayer` — process-control
-  syscalls and pipes.
+* :class:`~repro.sim.proc.syscalls.ProcLayer` — process creation,
+  process-control syscalls, pipes, and the time/CPU syscalls
+  (``gettime`` / ``compute`` / ``sleep``).
 
 What remains here is what genuinely spans subsystems: construction and
-wiring, the scheduler loop (``run`` / ``_step`` / ``_execute``),
-process lifecycle (``spawn`` / exit cleanup), and the time/CPU syscalls
-(``gettime`` / ``compute`` / ``sleep``) that touch only kernel state.
+wiring, the scheduler loop (``run`` / ``_step`` / ``_execute``) and exit
+cleanup.  ``spawn`` and ``spawn_with_pipe_ends`` delegate to the process
+layer.
+
+Lifetime rule: nothing a ``Kernel`` owns refers back to it or to its
+:class:`~repro.obs.Observability`.  Subsystems are handed the parts
+they use (clock, scheduler, obs, shared dicts), never a bound method of
+the kernel, so a finished machine — page pools, file systems, obs ring —
+is freed by reference counting the moment its driver drops it, without
+waiting for a cyclic-GC pass.  :attr:`Kernel.oracle` is therefore built
+on each access rather than stored.
 
 Processes see *only* :class:`~repro.sim.syscalls.SyscallResult` values.
 Tests and the experiment harness use :class:`Oracle` for ground truth.
@@ -123,13 +132,14 @@ class Kernel:
             self._fs_by_id[fs.fs_id] = fs
             self._disk_of_fs[fs.fs_id] = disk
 
-        self._cpu_free_at = [0] * cfg.cpus
         self.scheduler = Scheduler()
         if self.obs.enabled:
             self.obs.metrics.register_stats("sched", self.scheduler.stats)
-        self._next_pid = 1
         # Real byte content, present only for files written with bytes.
         self.contents: Dict[Tuple[int, int], bytearray] = {}
+        # (fs_id, ino) -> live descriptor count, present only while
+        # positive: FileIO keeps it, unlink in the name layer reads it.
+        open_counts: Dict[Tuple[int, int], int] = {}
 
         # --- subsystem assembly (order follows the data dependencies) --
         self.page_cache = PageCacheManager(
@@ -146,15 +156,15 @@ class Kernel:
             self.mounts,
             self._disk_of_fs,
             self.contents,
+            open_counts,
             name_cache=NameCache() if name_cache else None,
         )
-        self.procs = ProcLayer(cfg, self.clock, self.scheduler, self.spawn)
+        self.procs = ProcLayer(cfg, self.clock, self.scheduler, self.obs)
         self.fileio = FileIO(
             cfg, self.clock, self.mm, self.vfs, self.page_cache, self.procs,
-            self.contents,
+            self.contents, open_counts,
         )
         self.vm = VMLayer(cfg, self.clock, self.mm, self.swap_disk, self.page_cache)
-        self.vfs.bind_open_counts(self.fileio.is_open)
         # ``numpy_paths=False`` builds the scalar compatibility kernel:
         # every vectorized fast path stands down and the per-page loops
         # run instead.  The differential fuzzer runs twin kernels in both
@@ -170,30 +180,22 @@ class Kernel:
         self.fileio.register_syscalls(self.syscalls)
         self.vm.register_syscalls(self.syscalls)
         self.procs.register_syscalls(self.syscalls)
-        self.syscalls.register("gettime", self._sys_gettime)
-        self.syscalls.register("compute", self._sys_compute)
-        self.syscalls.register("sleep", self._sys_sleep)
         # The dispatch loop does one dict get per syscall; bind the
         # table's live mapping once.
         self._handlers: Dict[str, Callable] = self.syscalls.mapping()
         # pid -> first-attempt clock of a blocked call (syscall records).
         self._first_attempt_ns: Dict[int, int] = {}
 
-        self.oracle = Oracle(self)
+    @property
+    def oracle(self) -> "Oracle":
+        """Ground truth for tests and the harness (a fresh view per access)."""
+        return Oracle(self)
 
     # ==================================================================
     # Process lifecycle and the scheduler loop
     # ==================================================================
     def spawn(self, gen: Generator, name: str = "") -> Process:
-        process = Process(self._next_pid, gen, name)
-        self._next_pid += 1
-        process.ready_at = self.clock.now
-        self.scheduler.add(process)
-        # Host-side metadata only (simulated time untouched): the spawn
-        # event is what lets exporters and the JSONL validator know the
-        # full set of pids a stream may legitimately be attributed to.
-        self.obs.event("kernel.spawn", pid=process.pid, comm=process.name)
-        return process
+        return self.procs.spawn(gen, name)
 
     def spawn_with_pipe_ends(
         self,
@@ -203,18 +205,9 @@ class Kernel:
     ) -> Process:
         """Spawn a process holding descriptors on pre-made pipes.
 
-        The shell's fd-inheritance equivalent: ``ends`` is a list of
-        (pipe, "pipe_r"|"pipe_w") pairs; the factory is called with the
-        resulting fd numbers, in order, to build the process body.
+        See :meth:`~repro.sim.proc.syscalls.ProcLayer.spawn_with_pipe_ends`.
         """
-        process = Process(self._next_pid, iter(()), name)
-        self._next_pid += 1
-        fds = [self.share_pipe_end(process, pipe, kind) for pipe, kind in ends]
-        process.gen = gen_factory(*fds)
-        process.ready_at = self.clock.now
-        self.scheduler.add(process)
-        self.obs.event("kernel.spawn", pid=process.pid, comm=process.name)
-        return process
+        return self.procs.spawn_with_pipe_ends(gen_factory, ends, name)
 
     def make_pipe(self) -> PipeBuffer:
         """Create an unattached pipe for host-side pipeline wiring."""
@@ -371,28 +364,6 @@ class Kernel:
             if waiter is not None and waiter.state is ProcessState.BLOCKED:
                 self.scheduler.make_ready(waiter, self.clock.now)
         process.waiters.clear()
-
-    # ==================================================================
-    # Time and CPU (the only syscalls that touch kernel-wide state)
-    # ==================================================================
-    def _sys_gettime(self, process: Process):
-        overhead = self.config.gettime_overhead_ns
-        return self.clock.now + overhead, overhead
-
-    def _sys_compute(self, process: Process, ns: int):
-        if ns < 0:
-            raise InvalidArgument("negative compute time")
-        slot = min(range(len(self._cpu_free_at)), key=self._cpu_free_at.__getitem__)
-        start = max(self.clock.now, self._cpu_free_at[slot])
-        finish = start + ns
-        self._cpu_free_at[slot] = finish
-        process.stats.cpu_ns += ns
-        return None, finish - self.clock.now
-
-    def _sys_sleep(self, process: Process, ns: int):
-        if ns < 0:
-            raise InvalidArgument("negative sleep time")
-        return None, ns
 
 
 class Oracle:

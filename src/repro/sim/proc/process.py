@@ -84,6 +84,7 @@ class Process:
         "gen",
         "state",
         "ready_at",
+        "queued_seq",
         "pending_value",
         "pending_exception",
         "retry_syscall",
@@ -101,6 +102,9 @@ class Process:
         self.gen = gen
         self.state = ProcessState.READY
         self.ready_at = 0
+        # ``seq`` of this process's one live scheduler queue entry; 0
+        # while it has none (blocked or done).  Written by the scheduler.
+        self.queued_seq = 0
         # The value to send into the generator on the next step (None on
         # first step), or the exception to throw.
         self.pending_value: Any = None

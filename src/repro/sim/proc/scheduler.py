@@ -22,11 +22,14 @@ issue millions of syscalls through it):
   because every ``block`` reads it.
 
 Queue entries are ``(ready_at, seq, process)``; ``seq`` is unique, so
-two entries never compare their processes.  An entry is valid while its
-process is READY and still due at ``ready_at``.  Stale entries (left
-when a queued process is superseded or blocked out-of-band) are skipped
-lazily on pop, and the heap is compacted whenever it grows beyond twice
-the runnable population.
+two entries never compare their processes.  Each process records the
+``seq`` of its one live entry (``Process.queued_seq``): ``make_ready``
+sets it, ``block`` and ``finish`` clear it, and an entry is valid
+exactly while its ``seq`` matches.  A superseded entry therefore stays
+stale even if its process is later readied at the same time again.
+Stale entries (left when a queued process is superseded or blocked
+out-of-band) are skipped lazily on pop, and the heap is compacted
+whenever it grows beyond twice the runnable population.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ class Scheduler:
         process.state = ProcessState.READY
         process.ready_at = at
         self._seq += 1
+        process.queued_seq = self._seq
         entry = (at, self._seq, process)
         if self._fast is None and not self._heap:
             self._fast = entry
@@ -106,6 +110,7 @@ class Scheduler:
         if process.state is ProcessState.READY:
             self._runnable -= 1
         process.state = ProcessState.BLOCKED
+        process.queued_seq = 0
         self._maybe_compact()
 
     def finish(self, process: Process) -> None:
@@ -117,6 +122,7 @@ class Scheduler:
         if process.state is ProcessState.READY:
             self._runnable -= 1
         process.state = ProcessState.DONE
+        process.queued_seq = 0
         self.processes.pop(process.pid, None)
         self.finished[process.pid] = process
 
@@ -129,8 +135,9 @@ class Scheduler:
         reaps it so the retired population stays O(live), not O(ever
         spawned).  Returns False when the pid is not in ``finished``
         (still live, never spawned, or already reaped) — live processes
-        are deliberately not reapable.  A reaped process stays DONE, so
-        its stale queue entries still fail the validity test.
+        are deliberately not reapable.  ``finish`` cleared a reaped
+        process's ``queued_seq``, so its stale queue entries still fail
+        the validity test.
         """
         return self.finished.pop(pid, None) is not None
 
@@ -143,19 +150,18 @@ class Scheduler:
 
     def next_ready(self) -> Optional[Process]:
         """Pop the earliest READY process, discarding stale entries."""
-        ready = ProcessState.READY
         stats = self.stats
         while True:
             if self._fast is not None:
-                entry_at, _seq, process = self._fast
+                _at, seq, process = self._fast
                 self._fast = None
                 fast = True
             elif self._heap:
-                entry_at, _seq, process = heapq.heappop(self._heap)
+                _at, seq, process = heapq.heappop(self._heap)
                 fast = False
             else:
                 return None
-            if process.state is ready and process.ready_at == entry_at:
+            if process.queued_seq == seq:
                 stats.dispatches += 1
                 if fast:
                     stats.fast_dispatches += 1
@@ -169,12 +175,7 @@ class Scheduler:
         heap = self._heap
         if len(heap) < COMPACT_MIN_ENTRIES or len(heap) <= 2 * self._runnable:
             return
-        ready = ProcessState.READY
-        live = [
-            entry
-            for entry in heap
-            if entry[2].state is ready and entry[2].ready_at == entry[0]
-        ]
+        live = [entry for entry in heap if entry[2].queued_seq == entry[1]]
         heapq.heapify(live)
         self._heap = live
         self.stats.heap_compactions += 1

@@ -1,20 +1,26 @@
-"""The process layer: process-control syscalls and pipe plumbing.
+"""The process layer: process creation, process-control syscalls, pipes.
 
 Owns everything that is about *processes talking to the kernel about
-processes*: ``getpid`` / ``spawn`` / ``waitpid`` / ``pipe``, the pipe
-buffers themselves (blocking reads and writes, EPIPE/EOF semantics,
-waiter wake-ups), and the host-side pipeline wiring helpers
-(:meth:`make_pipe`, :meth:`share_pipe_end`) the kernel exposes.
+processes*: creating them (the pid counter, :meth:`ProcLayer.spawn`,
+:meth:`ProcLayer.spawn_with_pipe_ends` and the ``kernel.spawn`` event),
+``getpid`` / ``spawn`` / ``waitpid`` / ``pipe``, the pipe buffers
+themselves (blocking reads and writes, EPIPE/EOF semantics, waiter
+wake-ups), and the host-side pipeline wiring helpers (:meth:`make_pipe`,
+:meth:`share_pipe_end`) the kernel exposes.  The time and CPU syscalls
+(``gettime`` / ``compute`` / ``sleep``) live here too: they read only
+the clock, the configuration and the per-CPU busy times.
 
-Process *lifecycle* — creating pids, the scheduler loop, exit cleanup —
-stays in :class:`~repro.sim.kernel.Kernel`; this layer is handed the
-kernel's ``spawn`` callable instead of reaching back into it.
+The scheduler loop and exit cleanup stay in
+:class:`~repro.sim.kernel.Kernel`.  This layer holds the scheduler,
+clock and obs it is given and nothing that refers back to the kernel,
+so a finished machine is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List
+from typing import Callable, Generator, List, Tuple
 
+from repro.obs import Observability
 from repro.sim.clock import Clock
 from repro.sim.config import MachineConfig
 from repro.sim.dispatch import BLOCK, SyscallTable
@@ -25,26 +31,69 @@ from repro.sim.syscalls import ReadResult
 
 
 class ProcLayer:
-    """Process-control syscalls plus pipe buffers and their waiters."""
+    """Process creation and control, pipe buffers, and the time syscalls."""
 
     def __init__(
         self,
         config: MachineConfig,
         clock: Clock,
         scheduler: Scheduler,
-        spawn: Callable[[Generator, str], Process],
+        obs: Observability,
     ) -> None:
         self.config = config
         self.clock = clock
         self.scheduler = scheduler
-        self._spawn = spawn
+        self.obs = obs
+        self._next_pid = 1
         self._next_pipe_id = 1
+        # When each simulated CPU next falls idle (``compute``).
+        self._cpu_free_at = [0] * config.cpus
 
     def register_syscalls(self, table: SyscallTable) -> None:
         table.register("getpid", self.sys_getpid)
         table.register("spawn", self.sys_spawn)
         table.register("waitpid", self.sys_waitpid)
         table.register("pipe", self.sys_pipe)
+        table.register("gettime", self.sys_gettime)
+        table.register("compute", self.sys_compute)
+        table.register("sleep", self.sys_sleep)
+
+    # ------------------------------------------------------------------
+    # Process creation
+    # ------------------------------------------------------------------
+    def spawn(self, gen: Generator, name: str = "") -> Process:
+        """Create a READY process running ``gen`` at the current time."""
+        process = Process(self._next_pid, gen, name)
+        self._next_pid += 1
+        self._admit(process)
+        return process
+
+    def spawn_with_pipe_ends(
+        self,
+        gen_factory: Callable[..., Generator],
+        ends: List[Tuple[PipeBuffer, str]],
+        name: str = "",
+    ) -> Process:
+        """Spawn a process holding descriptors on pre-made pipes.
+
+        The shell's fd-inheritance equivalent: ``ends`` is a list of
+        (pipe, "pipe_r"|"pipe_w") pairs; the factory is called with the
+        resulting fd numbers, in order, to build the process body.
+        """
+        process = Process(self._next_pid, iter(()), name)
+        self._next_pid += 1
+        fds = [self.share_pipe_end(process, pipe, kind) for pipe, kind in ends]
+        process.gen = gen_factory(*fds)
+        self._admit(process)
+        return process
+
+    def _admit(self, process: Process) -> None:
+        process.ready_at = self.clock.now
+        self.scheduler.add(process)
+        # Host-side metadata only (simulated time untouched): the spawn
+        # event is what lets exporters and the JSONL validator know the
+        # full set of pids a stream may legitimately be attributed to.
+        self.obs.event("kernel.spawn", pid=process.pid, comm=process.name)
 
     # ------------------------------------------------------------------
     # Wake-ups
@@ -64,7 +113,7 @@ class ProcLayer:
         return process.pid, self.config.gettime_overhead_ns
 
     def sys_spawn(self, process: Process, gen: Generator, name: str = ""):
-        child = self._spawn(gen, name)
+        child = self.spawn(gen, name)
         return child.pid, self.config.syscall_overhead_ns
 
     def sys_waitpid(self, process: Process, pid: int):
@@ -76,6 +125,28 @@ class ProcLayer:
         if process.pid not in target.waiters:
             target.waiters.append(process.pid)
         return BLOCK
+
+    # ------------------------------------------------------------------
+    # Time and CPU
+    # ------------------------------------------------------------------
+    def sys_gettime(self, process: Process):
+        overhead = self.config.gettime_overhead_ns
+        return self.clock.now + overhead, overhead
+
+    def sys_compute(self, process: Process, ns: int):
+        if ns < 0:
+            raise InvalidArgument("negative compute time")
+        slot = min(range(len(self._cpu_free_at)), key=self._cpu_free_at.__getitem__)
+        start = max(self.clock.now, self._cpu_free_at[slot])
+        finish = start + ns
+        self._cpu_free_at[slot] = finish
+        process.stats.cpu_ns += ns
+        return None, finish - self.clock.now
+
+    def sys_sleep(self, process: Process, ns: int):
+        if ns < 0:
+            raise InvalidArgument("negative sleep time")
+        return None, ns
 
     # ------------------------------------------------------------------
     # Pipes

@@ -17,6 +17,7 @@ Four layers of coverage:
 """
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,13 @@ from repro.experiments.arena import (
     run_arena,
     run_single_client,
 )
-from repro.obs.export import stream_digest
-from repro.obs.views import interference_matrix, render_matrix, split_by_pid
+from repro.obs.export import read_jsonl, stream_digest
+from repro.obs.views import (
+    interference_matrix,
+    process_names,
+    render_matrix,
+    split_by_pid,
+)
 from repro.sim import Kernel, MachineConfig
 from repro.sim import syscalls as sc
 from repro.sim.arena import (
@@ -344,15 +350,29 @@ def test_single_client_bit_identity(kind):
 # Partition properties at N=64
 # ======================================================================
 @pytest.fixture(scope="module")
-def arena64():
-    report = run_arena(64)
-    return report
+def arena64(tmp_path_factory):
+    out = tmp_path_factory.mktemp("arena64") / "n64.jsonl"
+    return run_arena(64, out_path=str(out))
 
 
-def test_n64_ledger_sums_to_aggregate_counters(arena64):
+@pytest.fixture(scope="module")
+def arena64_records(arena64):
+    """The N=64 run's obs stream, read back from the JSONL it wrote."""
+    return read_jsonl(arena64.out_path)
+
+
+def test_n64_report_summaries_match_its_stream(arena64, arena64_records):
+    assert arena64.interference == interference_matrix(arena64_records)
+    assert arena64.interference, "N=64 on the arena machine must thrash"
+    assert arena64.names == process_names(arena64_records)
+    lines = Path(arena64.out_path).read_text().splitlines()
+    assert arena64.record_count == len(lines) == len(arena64_records)
+
+
+def test_n64_ledger_sums_to_aggregate_counters(arena64_records):
     by_name = {}
     totals = {}
-    for record in arena64.records:
+    for record in arena64_records:
         if record.get("type") == "pid_stats":
             for name, count in record["syscalls"].items():
                 by_name[name] = by_name.get(name, 0) + count
@@ -364,9 +384,9 @@ def test_n64_ledger_sums_to_aggregate_counters(arena64):
     assert by_name == totals
 
 
-def test_n64_split_by_pid_is_a_partition(arena64):
+def test_n64_split_by_pid_is_a_partition(arena64, arena64_records):
     event_like = [
-        r for r in arena64.records if r.get("type") in ("event", "span")
+        r for r in arena64_records if r.get("type") in ("event", "span")
     ]
     buckets = split_by_pid(event_like)
     assert sum(len(b) for b in buckets.values()) == len(event_like)
@@ -374,8 +394,8 @@ def test_n64_split_by_pid_is_a_partition(arena64):
     assert client_pids <= set(buckets), "every client contributed records"
 
 
-def test_n64_matrix_cells_sum_to_reclaim_count(arena64):
-    events = [r for r in arena64.records if r.get("type") == "event"]
+def test_n64_matrix_cells_sum_to_reclaim_count(arena64_records):
+    events = [r for r in arena64_records if r.get("type") == "event"]
     matrix = interference_matrix(events)
     reclaims = sum(
         1 for r in events if r.get("name") == "kernel.reclaim"

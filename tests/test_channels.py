@@ -41,7 +41,7 @@ from repro.icl.channels import (
     frame_cells,
     payload_bits,
 )
-from repro.obs.export import validate_jsonl
+from repro.obs.export import read_jsonl, validate_jsonl
 from repro.obs.views import channel_summary
 from repro.sim import Kernel, MachineConfig, PLATFORMS
 from repro.sim import syscalls as sc
@@ -283,9 +283,11 @@ def test_step_log_records_tagged_boundaries():
     assert times == sorted(times)
 
 
-def test_channel_summary_attributes_cell_spans():
-    report = run_channel("residency", n_bits=16)
-    summary = channel_summary(report.records)
+def test_channel_summary_attributes_cell_spans(tmp_path):
+    out = tmp_path / "residency.jsonl"
+    report = run_channel("residency", n_bits=16, out_path=str(out))
+    assert report.record_count == len(out.read_text().splitlines())
+    summary = channel_summary(read_jsonl(out))
     roles = {entry["role"] for entry in summary.values()}
     assert roles == {"tx", "rx"}
     by_role = {entry["role"]: entry for entry in summary.values()}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -148,6 +149,28 @@ class TestCache:
         assert cache_key(small) == cache_key(
             TrialSpec("u", 0, echo_trial, {"payload": small_config()})
         )
+
+    def test_editing_a_simulator_module_invalidates(self, tmp_path, monkeypatch):
+        """The key covers every package module, not just the trial body."""
+        pristine, edited = tmp_path / "a" / "repro", tmp_path / "b" / "repro"
+        for copy in (pristine, edited):
+            shutil.copytree(
+                runner.PACKAGE_ROOT, copy,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        disk = edited / "sim" / "disk.py"
+        disk.write_text(disk.read_text() + "\n# one edited line\n")
+        assert runner.code_identity(pristine) == runner.code_identity(runner.PACKAGE_ROOT)
+        spec = specs_for(1)[0]
+        cache = tmp_path / "cache"
+        drain_stats()
+        for root in (pristine, pristine, edited):
+            monkeypatch.setattr(runner, "PACKAGE_ROOT", root)
+            run_trials([spec], use_cache=True, cache_dir=cache)
+        cold, warm, after_edit = drain_stats()
+        assert (cold.cached, cold.simulated) == (0, 1)
+        assert (warm.cached, warm.simulated) == (1, 0)
+        assert (after_edit.cached, after_edit.simulated) == (0, 1)
 
     def test_corrupt_cache_entry_is_resimulated(self, tmp_path):
         spec = specs_for(1)[0]
