@@ -33,7 +33,6 @@ from repro.obs.events import (
 from repro.obs.metrics import (
     Counter,
     DEFAULT_LATENCY_BOUNDS_NS,
-    Gauge,
     Histogram,
     MetricsRegistry,
     SnapshotStats,
@@ -42,7 +41,7 @@ from repro.obs.metrics import (
 
 __all__ = [
     "Observability", "DISABLED", "capture_metrics", "MetricsCapture",
-    "MetricsRegistry", "Counter", "Gauge", "Histogram", "SnapshotStats",
+    "MetricsRegistry", "Counter", "Histogram", "SnapshotStats",
     "EventStream", "Span", "merge_samples",
     "DEFAULT_LATENCY_BOUNDS_NS", "DEFAULT_EVENT_CAPACITY",
 ]
@@ -109,10 +108,6 @@ class Observability:
     def count(self, name: str, amount: int = 1) -> None:
         if self.enabled:
             self.metrics.counter(name).value += amount
-
-    def gauge_set(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.metrics.gauge(name).value = value
 
     def observe(self, name: str, value: float) -> None:
         if self.enabled:

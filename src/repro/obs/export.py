@@ -227,7 +227,7 @@ def _histogram_quantile(sample: Dict[str, Any], q: float) -> Optional[float]:
 def summarize_metrics(samples: Iterable[Dict[str, Any]]) -> str:
     """An aligned text table over metric samples, sorted by name.
 
-    Counters/gauges get one value column; histograms show count, mean,
+    Counters get one value column; histograms show count, mean,
     approximate p50/p95, and max in human time units (histogram values
     here are simulated nanoseconds).
     """

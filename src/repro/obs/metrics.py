@@ -1,4 +1,4 @@
-"""Metric primitives: counters, gauges, histograms, and their registry.
+"""Metric primitives: counters, histograms, and their registry.
 
 Everything here is deliberately boring and allocation-light: metrics sit
 on the simulator's hottest paths (one counter bump plus one histogram
@@ -11,8 +11,8 @@ Export format: each instrument collapses to a plain-dict *sample*
 (``{"type": "metric", "kind": ..., "name": ..., ...}``) that survives a
 JSON round-trip and a trip across a process pool.  Samples from many
 sources — trials in worker processes, several kernels in one run —
-combine with :func:`merge_samples`: counters add, gauges keep the last
-value, histograms merge bucket-wise.
+combine with :func:`merge_samples`: counters add, histograms merge
+bucket-wise.
 
 :class:`SnapshotStats` is the shared stats-object idiom: any dataclass
 of integer counters gains ``snapshot()`` / ``delta()`` / ``as_dict()``
@@ -49,23 +49,6 @@ class Counter:
 
     def sample(self) -> Dict[str, Any]:
         return {"type": "metric", "kind": "counter", "name": self.name,
-                "value": self.value}
-
-
-class Gauge:
-    """A point-in-time value (pool occupancy, queue depth)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def sample(self) -> Dict[str, Any]:
-        return {"type": "metric", "kind": "gauge", "name": self.name,
                 "value": self.value}
 
 
@@ -163,7 +146,7 @@ class MetricsRegistry:
 
     Two registration styles:
 
-    * ``counter()`` / ``gauge()`` / ``histogram()`` create (or return
+    * ``counter()`` / ``histogram()`` create (or return
       the existing) push-style instruments, written on the hot path;
     * ``register_stats(prefix, obj)`` adopts an existing
       :class:`SnapshotStats`-style object (``DiskStats``,
@@ -173,7 +156,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._stats_sources: List[Tuple[str, Any]] = []
 
@@ -182,12 +164,6 @@ class MetricsRegistry:
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
         return instrument
 
     def histogram(self, name: str,
@@ -213,8 +189,6 @@ class MetricsRegistry:
         samples: List[Dict[str, Any]] = []
         for counter in self._counters.values():
             samples.append(counter.sample())
-        for gauge in self._gauges.values():
-            samples.append(gauge.sample())
         for histogram in self._histograms.values():
             samples.append(histogram.sample())
         for prefix, stats in self._stats_sources:
@@ -228,8 +202,6 @@ def _merge_two(into: Dict[str, Any], sample: Dict[str, Any]) -> None:
     kind = sample["kind"]
     if kind == "counter":
         into["value"] += sample["value"]
-    elif kind == "gauge":
-        into["value"] = sample["value"]
     elif kind == "histogram":
         if into.get("bounds") == sample.get("bounds"):
             into["bucket_counts"] = [
@@ -251,10 +223,10 @@ def _merge_two(into: Dict[str, Any], sample: Dict[str, Any]) -> None:
 def merge_samples(*sample_lists: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Combine samples from many sources into one deduplicated list.
 
-    Counters with the same name add, gauges keep the last-seen value,
-    histograms merge bucket-wise (or degrade to count/sum/min/max when
-    bounds differ).  Output order is first-appearance order, so merging
-    is deterministic given deterministic inputs.
+    Counters with the same name add, histograms merge bucket-wise (or
+    degrade to count/sum/min/max when bounds differ).  Output order is
+    first-appearance order, so merging is deterministic given
+    deterministic inputs.
     """
     merged: Dict[Tuple[str, str], Dict[str, Any]] = {}
     for samples in sample_lists:

@@ -135,9 +135,6 @@ class CylinderGroup:
         self._bitmap[rel] = 0
         self.free_block_count += 1
 
-    def owns_block(self, block: int) -> bool:
-        return self.data_first <= block < self.first_block + self.nblocks
-
 
 class FFS:
     """One mounted FFS instance on one disk."""

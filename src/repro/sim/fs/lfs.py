@@ -88,8 +88,3 @@ class LogStructuredFS(FFS):
         for index, block in zip(covered, fresh):
             inode.blocks[index] = block
         self.free_block_list(old)
-
-    @property
-    def log_head(self) -> int:
-        """Current append position (oracle/testing use)."""
-        return self._log_head if self._log_head is not None else self.groups[0].data_first

@@ -37,11 +37,9 @@ Tests and the experiment harness use :class:`Oracle` for ground truth.
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.obs import Observability
-from repro.obs.profile import PROFILER
 from repro.sim.cache.base import AnonKey, FileKey
 from repro.sim.clock import Clock
 from repro.sim.config import MachineConfig, PlatformSpec, linux22
@@ -237,14 +235,10 @@ class Kernel:
         next_ready = self.scheduler.next_ready
         advance_to = self.clock.advance_to
         step = self._step
-        profiling = PROFILER.enabled
         steps = 0
         try:
             while True:
-                t0 = perf_counter_ns() if profiling else 0
                 process = next_ready()
-                if profiling:
-                    PROFILER.add("sched.next_ready", perf_counter_ns() - t0)
                 if process is None:
                     return steps
                 advance_to(process.ready_at)
@@ -276,8 +270,6 @@ class Kernel:
         if retry is not None:
             self._execute(process, retry)
             return
-        profiling = PROFILER.enabled
-        t0 = perf_counter_ns() if profiling else 0
         try:
             if process.pending_exception is not None:
                 exc = process.pending_exception
@@ -288,12 +280,8 @@ class Kernel:
                 # ``send(None)`` is how a generator starts.
                 item = process.gen.send(process.pending_value)
         except StopIteration as stop:
-            if profiling:
-                PROFILER.add("proc.advance", perf_counter_ns() - t0)
             self._exit_process(process, stop.value)
             return
-        if profiling:
-            PROFILER.add("proc.advance", perf_counter_ns() - t0)
         if not isinstance(item, Syscall):
             raise TypeError(
                 f"{process.name} yielded {item!r}; processes must yield Syscall objects"
@@ -311,8 +299,6 @@ class Kernel:
         obs = self.obs
         start = self.clock.now
         process.stats.syscalls += 1
-        profiling = PROFILER.enabled
-        t0 = perf_counter_ns() if profiling else 0
         try:
             outcome = handler(process, *syscall.args)
         except SimOSError as err:
@@ -325,8 +311,6 @@ class Kernel:
             process.retry_syscall = None
             self.scheduler.make_ready(process, start + overhead)
             return
-        if profiling:
-            PROFILER.add("syscall." + syscall.name, perf_counter_ns() - t0)
         if outcome is BLOCK:
             if obs.syscall_records:  # one record per call, not per attempt
                 self._first_attempt_ns.setdefault(process.pid, start)

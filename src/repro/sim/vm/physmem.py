@@ -148,9 +148,6 @@ class MemoryManager:
     def file_pool_used(self) -> int:
         return len(self._file_pool)
 
-    def anon_pool_used(self) -> int:
-        return len(self._anon_pool)
-
     def resident_anon_pages(self, pid: int) -> int:
         return self._anon_index.count(pid)
 

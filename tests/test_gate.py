@@ -5,11 +5,30 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.sim import Kernel, syscalls as sc
+from repro.sim.dispatch import SyscallTable
+from repro.sim.proc.scheduler import Scheduler
+from repro.sim.proc.syscalls import ProcLayer
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 import bench_arena  # noqa: E402
 import bench_core_speed  # noqa: E402
 import gate  # noqa: E402
+
+#: Calls the smoke-size profile pass makes into each section: a pure
+#: function of the bench sizes, whatever the host's speed.
+SMOKE_PROFILE_CALLS = {
+    "syscall.pread": 12_288,
+    "syscall.touch": 12_000,
+    "syscall.stat": 2_400,
+    "syscall.write": 408,
+    "syscall.create": 404,
+    "proc.advance": 28_104,
+    "sched.next_ready": 28_130,
+}
 
 
 def check_run(tmp_path, output, current, bench):
@@ -61,3 +80,32 @@ def test_cross_mode_baseline_skips_ratchet_keeps_floors():
     assert any(f.startswith("pread_probe_throughput.speedup") and "80% of baseline" in f
                for f in same)
     assert gate.ratchet("x", 1.0, 10.0, 0.8, comparable=False) == []
+
+
+def profiled_entry_points():
+    return (vars(Scheduler)["next_ready"], vars(SyscallTable)["register"],
+            vars(ProcLayer)["_admit"])
+
+
+def test_profile_pass_counts_sections_and_restores_entry_points(monkeypatch):
+    originals = profiled_entry_points()
+    profile = bench_core_speed.run_profile_pass(smoke=True)
+    rows = profile["top_sections"]
+    calls = {row["section"]: row["calls"] for row in rows}
+    assert {name: calls.get(name) for name in SMOKE_PROFILE_CALLS} == SMOKE_PROFILE_CALLS
+    totals = [row["total_ms"] for row in rows]
+    assert totals == sorted(totals, reverse=True)
+    assert sum(row["share"] for row in rows) <= 1.001  # shares of all sections
+    assert all(row["section"] in profile["table"] for row in rows)
+    assert profiled_entry_points() == originals
+
+    def failing_bench(**_params):
+        def app():
+            yield sc.gettime()
+            raise RuntimeError("bench failed mid-pass")
+        Kernel(bench_core_speed._config()).run_process(app(), "fail")
+
+    monkeypatch.setattr(bench_core_speed, "bench_touch_probes", failing_bench)
+    with pytest.raises(RuntimeError, match="mid-pass"):
+        bench_core_speed.run_profile_pass(smoke=True)
+    assert profiled_entry_points() == originals

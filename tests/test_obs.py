@@ -93,14 +93,11 @@ class TestRegistryAndMerge:
         assert reg.counter("a") is reg.counter("a")
         assert reg.histogram("h") is reg.histogram("h")
 
-    def test_merge_counters_add_gauges_last_wins(self):
-        a = [{"type": "metric", "kind": "counter", "name": "c", "value": 2},
-             {"type": "metric", "kind": "gauge", "name": "g", "value": 5}]
-        b = [{"type": "metric", "kind": "counter", "name": "c", "value": 3},
-             {"type": "metric", "kind": "gauge", "name": "g", "value": 7}]
+    def test_merge_counters_add(self):
+        a = [{"type": "metric", "kind": "counter", "name": "c", "value": 2}]
+        b = [{"type": "metric", "kind": "counter", "name": "c", "value": 3}]
         merged = {(s["kind"], s["name"]): s for s in merge_samples(a, b)}
         assert merged[("counter", "c")]["value"] == 5
-        assert merged[("gauge", "g")]["value"] == 7
 
     def test_merge_histograms_bucketwise(self):
         h1, h2 = Histogram("h", bounds=(10, 100)), Histogram("h", bounds=(10, 100))

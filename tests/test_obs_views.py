@@ -1,4 +1,4 @@
-"""Attribution views, Chrome trace export, and the host-time profiler.
+"""Attribution views and the Chrome trace export.
 
 Three families of checks:
 
@@ -25,7 +25,6 @@ from repro.obs.chrome import (
 )
 from repro.obs.events import EventStream
 from repro.obs.export import summarize_pids, validate_jsonl, write_jsonl
-from repro.obs.profile import Profiler
 from repro.obs.views import (
     UNATTRIBUTED,
     ObsView,
@@ -275,44 +274,6 @@ def test_summarize_pids_ignores_another_tenants_children():
         for line in summarize_pids(list(stream.records)).splitlines()[2:]
     }
     assert rows == {"1": "10.00s", "2": "4.00s"}
-
-
-# ======================================================================
-# Profiler
-# ======================================================================
-def test_profiler_disabled_by_default():
-    prof = Profiler()
-    assert not prof.enabled
-    assert prof.rows() == []
-
-
-def test_profiler_accumulates_and_ranks():
-    prof = Profiler().enable()
-    prof.add("slow", 3000)
-    prof.add("slow", 1000)
-    prof.add("fast", 10)
-    rows = prof.rows()
-    assert rows[0]["section"] == "slow"
-    assert rows[0]["calls"] == 2
-    assert rows[0]["total_ms"] == 0.004
-    assert rows[0]["ns_per_call"] == 2000
-    assert abs(sum(r["share"] for r in rows) - 1.0) < 0.01
-    report = prof.report(top=1)
-    assert "slow" in report and "fast" not in report
-
-
-def test_profiler_clear_forgets_sections():
-    prof = Profiler().enable()
-    prof.add("a", 5)
-    prof.clear()
-    assert not prof.rows()                  # registry emptied
-
-
-def test_profiler_rows_top_limits():
-    prof = Profiler().enable()
-    for i in range(5):
-        prof.add(f"s{i}", i + 1)
-    assert len(prof.rows(top=3)) == 3
 
 
 # ======================================================================

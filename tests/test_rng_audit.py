@@ -1,4 +1,4 @@
-"""Static RNG-seeding audit.
+"""Static RNG-seeding and host-clock audit.
 
 Byte-identical replay (golden traces, the trial cache, the differential
 fuzzer) requires that every random draw in the tree flows from an
@@ -9,6 +9,11 @@ nondeterminism usually sneaks in:
   friends), which seed from the OS at import time;
 * ``random.Random()`` constructed with no arguments, which does the
   same thing one object deeper.
+
+A third pattern keeps the host clock out of the simulator: it runs on
+simulated time alone, and host time is measured from outside (the e2e
+tracer, the core bench's profile pass).  Only the experiment drivers,
+which report host wall time, may read it.
 
 The runtime companion is the autouse ``_global_rng_guard`` fixture in
 ``conftest.py``, which catches global-RNG use the grep cannot see
@@ -34,15 +39,23 @@ GLOBAL_RNG_CALL = re.compile(
 #: ``random.Random()`` with nothing between the parentheses.
 UNSEEDED_RANDOM = re.compile(r"\brandom\.Random\(\s*\)")
 
+#: An import of ``time`` or a call on one of its host clocks.
+HOST_CLOCK = re.compile(
+    r"^\s*(import\s+time\b|from\s+time\s+import\b)"
+    r"|\b(perf_counter|process_time|monotonic)(_ns)?\s*\("
+)
+SIMULATOR_ROOT = REPO_ROOT / "src" / "repro"
+HOST_CLOCK_EXEMPT = SIMULATOR_ROOT / "experiments"
+
 
 def _python_sources():
     for directory in SCANNED_DIRS:
         yield from sorted((REPO_ROOT / directory).rglob("*.py"))
 
 
-def _violations(pattern):
+def _violations(pattern, sources=None):
     found = []
-    for path in _python_sources():
+    for path in sources or _python_sources():
         if path == Path(__file__).resolve():
             continue
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -67,6 +80,18 @@ def test_no_unseeded_random_instances():
     assert not violations, (
         "unseeded random.Random() found (pass an explicit seed):\n"
         + "\n".join(violations)
+    )
+
+
+def test_simulator_reads_no_host_clock():
+    sources = [
+        path for path in sorted(SIMULATOR_ROOT.rglob("*.py"))
+        if HOST_CLOCK_EXEMPT not in path.parents
+    ]
+    violations = _violations(HOST_CLOCK, sources)
+    assert not violations, (
+        "host clock read in the simulator (time it from outside, as the "
+        "e2e tracer does):\n" + "\n".join(violations)
     )
 
 
