@@ -238,7 +238,7 @@ def run_channel(
     seed: int = CHANNELS_SEED,
     n_bits: int = 48,
     spec: Optional[FrameSpec] = None,
-    numpy_paths: bool = True,
+    batch_paths: bool = True,
     out_path: Optional[str] = None,
     report_path: Optional[str] = None,
 ) -> ChannelReport:
@@ -271,7 +271,7 @@ def run_channel(
         config,
         platform=PLATFORMS[platform],
         event_capacity=max(100_000, 2048 * (n_background + 4)),
-        numpy_paths=numpy_paths,
+        batch_paths=batch_paths,
     )
     host_start = time.perf_counter()
 

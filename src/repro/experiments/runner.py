@@ -16,7 +16,7 @@ while keeping three guarantees the reproduction depends on:
 * **Caching** — each trial's result can be persisted to disk, keyed by a
   hash of the experiment id, the trial function's module path, the code
   identity of the whole ``repro`` package (:func:`code_identity`: every
-  ``.py`` file plus the Python and numpy versions), its canonicalised
+  ``.py`` file plus the Python version), its canonicalised
   params (including the :class:`MachineConfig` and platform name), and
   the seed.  Re-running an unchanged tree and configuration is instant;
   editing any module, or changing any input, re-simulates.
@@ -39,13 +39,10 @@ import json
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
-
-import numpy as np
 
 from repro.obs import capture_metrics
 from repro.obs.metrics import merge_samples
@@ -212,13 +209,11 @@ def code_identity(root: Path) -> str:
     """sha256 over the code a trial result depends on, once per process.
 
     Hashes every ``.py`` file under ``root`` (relative path plus bytes,
-    in sorted path order) and the Python and numpy versions, so a result
-    simulated by other code — any edited module, not just the trial
-    function — is never served from the cache.
+    in sorted path order) and the Python version, so a result simulated
+    by other code — any edited module, not just the trial function — is
+    never served from the cache.
     """
-    digest = hashlib.sha256(
-        f"python {platform.python_version()} numpy {np.__version__}\n".encode()
-    )
+    digest = hashlib.sha256(f"python {platform.python_version()}\n".encode())
     sources = sorted((path.relative_to(root).as_posix(), path) for path in root.rglob("*.py"))
     for relative, path in sources:
         data = path.read_bytes()
@@ -374,6 +369,10 @@ def run_trials(
                 )
                 finish(i, value, elapsed, metrics)
         else:
+            # Imported here: the pool module loads multiprocessing,
+            # socket, subprocess and logging, which a serial run never uses.
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from repro.obs.metrics import SnapshotStats
 from repro.sim.config import DiskSpec
@@ -210,28 +210,6 @@ class Disk:
             st.reads += 1
             st.sectors_read += nsectors
         return start, t
-
-    def access_runs(
-        self,
-        run_list: Iterable[Tuple[int, int]],
-        now: int,
-        block_bytes: int,
-        write: bool = False,
-    ) -> int:
-        """Service ``[(start_block, nblocks), ...]`` back to back.
-
-        The batched entry point for writeback/swap storms: one call per
-        flush instead of one per run, with each run serviced exactly as
-        an individual :meth:`access` arriving at the previous run's
-        finish time (which is what chained callers did anyway — the
-        spindle was busy until then, so ``start`` is identical).
-        Returns the finish time of the last run.
-        """
-        t = now
-        access = self.access
-        for start_block, nblocks in run_list:
-            _s, t = access(start_block, nblocks, t, block_bytes, write)
-        return t
 
     def __repr__(self) -> str:
         return (

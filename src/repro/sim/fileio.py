@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.sim.cache.base import FileKey
 from repro.sim.clock import Clock
 from repro.sim.config import MachineConfig
@@ -65,10 +63,10 @@ class FileIO:
         #: set, per-probe elapsed times pass through ``probe_elapsed`` so
         #: the batched and sequential paths observe one noise stream.
         self.inject: Optional[Any] = None
-        #: Gate for the vectorized all-cached pread_batch path;
-        #: ``Kernel(numpy_paths=False)`` turns it off so the differential
+        #: Gate for the all-cached pread_batch pre-pass;
+        #: ``Kernel(batch_paths=False)`` turns it off so the differential
         #: fuzzer can pin it against the scalar per-probe loop.
-        self.numpy_paths: bool = True
+        self.batch_paths: bool = True
 
     def register_syscalls(self, table: SyscallTable) -> None:
         table.register("open", self.sys_open)
@@ -241,49 +239,50 @@ class FileIO:
         # (superseding anything pending), hence the reset.
         pending_stamp: Optional[int] = None
         inject = self.inject
-        # Vectorized pre-pass: when every probe is an in-bounds,
-        # single-page read of one constant (clipped) length — the ICL
-        # shape — and every probed page is resident (one numpy
-        # membership test against the file's residency mirror), the
-        # whole batch is hits: one batched policy update, then one
-        # elapsed value per probe.  Everything is *decided* before the
-        # pool is touched (the residency test references the pages only
-        # when it passes, so it goes last), so a failed check falls
-        # through to the scalar loop with nothing mutated; the effects
-        # are exactly the scalar fast branch's, probe for probe.
-        if self.numpy_paths and inject is None and len(probes) >= 8:
-            arr = np.asarray(probes)
-            if arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind == "i":
-                offs = arr[:, 0]
-                lens = arr[:, 1]
+        # Batch pre-pass: when every probe is an in-bounds, single-page
+        # read of one constant (clipped) length — the ICL shape — and
+        # every probed page is resident (one membership test against
+        # the file's residency mirror), the whole batch is hits: one
+        # batched policy update, then one elapsed value per probe.  The
+        # walk stops at the first probe of another shape.  Everything
+        # is *decided* before the pool is touched (the residency test
+        # references the pages only when it passes, so it goes last),
+        # so a failed check falls through to the scalar loop with
+        # nothing mutated; the effects are exactly the scalar fast
+        # branch's, probe for probe.
+        if self.batch_paths and inject is None and len(probes) >= 8:
+            offset, nbytes = probes[0]
+            length = nbytes if offset + nbytes <= size else size - offset
+            pages: List[int] = []
+            add_page = pages.append
+            for offset, nbytes in probes:
                 if (
-                    int(offs.min()) >= 0
-                    and int(lens.min()) > 0
-                    and int(offs.max()) < size
+                    0 <= offset < size
+                    and nbytes > 0
+                    and (nbytes if offset + nbytes <= size else size - offset) == length
                 ):
-                    eff = np.minimum(lens, size - offs)
-                    first = offs // page
-                    length = int(eff.min())
-                    if (
-                        length == int(eff.max())
-                        and bool((first == (offs + eff - 1) // page).all())
-                        and self.mm.touch_file_pages_resident(fs_id, ino, first)
-                    ):
-                        elapsed = overhead + cfg.page_copy_ns(length)
-                        total = elapsed * len(probes)
-                        if stored is None:
-                            # Without content, one shared immutable result.
-                            results = [ProbeRead(length, elapsed)] * len(probes)
-                        else:
-                            results = [
-                                ProbeRead(length, elapsed, bytes(stored[o : o + length]))
-                                for o in offs.tolist()
-                            ]
-                        # Every probe is non-empty, so the last probe's
-                        # start-time atime stamp survives, as in the
-                        # scalar loop.
-                        inode.stamp(t0 + total - elapsed, access=True)
-                        return results, total
+                    first = offset // page
+                    if first == (offset + length - 1) // page:
+                        add_page(first)
+                        continue
+                break
+            else:
+                if self.mm.touch_file_pages_resident(fs_id, ino, pages):
+                    elapsed = overhead + cfg.page_copy_ns(length)
+                    total = elapsed * len(probes)
+                    if stored is None:
+                        # Without content, one shared immutable result.
+                        results = [ProbeRead(length, elapsed)] * len(probes)
+                    else:
+                        results = [
+                            ProbeRead(length, elapsed, bytes(stored[o : o + length]))
+                            for o, _n in probes
+                        ]
+                    # Every probe is non-empty, so the last probe's
+                    # start-time atime stamp survives, as in the
+                    # scalar loop.
+                    inode.stamp(t0 + total - elapsed, access=True)
+                    return results, total
         for offset, nbytes in probes:
             if 0 <= offset < size and nbytes > 0:
                 end = offset + nbytes

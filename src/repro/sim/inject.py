@@ -53,8 +53,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.sim.clock import MICROS, MILLIS, SECONDS
 from repro.sim.dispatch import BLOCK, Handler, SyscallTable
 from repro.sim.errors import Interrupted, SimOSError, TryAgain
@@ -131,6 +129,9 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_2_POW_53 = float(1 << 53)
 
 
 def _fnv1a(text: str, basis: int = _FNV_OFFSET) -> int:
@@ -143,17 +144,9 @@ def _fnv1a(text: str, basis: int = _FNV_OFFSET) -> int:
 
 def _splitmix64(x: int) -> int:
     x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return x ^ (x >> 31)
-
-
-# _splitmix64's constants as numpy scalars, for block draws.
-_U64_GOLDEN = np.uint64(_GOLDEN)
-_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_U64_MIX2 = np.uint64(0x94D049BB133111EB)
-_U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(b) for b in (11, 27, 30, 31))
-_2_POW_MINUS_53 = 1.0 / float(1 << 53)
 
 
 class _Stream:
@@ -172,27 +165,28 @@ class _Stream:
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 bits of the draw."""
-        return (self.next_u64() >> 11) / float(1 << 53)
+        return (self.next_u64() >> 11) / _2_POW_53
 
-    def peek_floats(self, n: int) -> np.ndarray:
+    def peek_floats(self, n: int) -> List[float]:
         """The next ``n`` :meth:`next_float` values, without consuming them.
 
         Draw k depends only on ``base`` and ``counter + k``, so a block
-        can be drawn ahead.  numpy's uint64 arithmetic wraps mod 2**64
-        exactly as the scalar ``& _MASK64`` masks do, and
-        ``(x >> 11) * 2**-53`` is exact in float64, so element k is
-        bit-identical to the k-th sequential draw.
+        can be drawn ahead.  The loop is :func:`_splitmix64` inlined
+        over successive counters, on the same integers with the same
+        masks, and ``(x >> 11) / 2**53`` is exact in float64, so
+        element k is bit-identical to the k-th sequential draw.
         """
-        x = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-        x *= _U64_GOLDEN
-        x += np.uint64((self.base + _GOLDEN) & _MASK64)
-        x ^= x >> _U64_30
-        x *= _U64_MIX1
-        x ^= x >> _U64_27
-        x *= _U64_MIX2
-        x ^= x >> _U64_31
-        x >>= _U64_11
-        return x * _2_POW_MINUS_53
+        # Local names: the loop body runs once per draw.
+        golden, mask, mix1, mix2, scale = _GOLDEN, _MASK64, _MIX1, _MIX2, _2_POW_53
+        x = (self.base + self.counter * golden) & mask
+        floats: List[float] = []
+        append = floats.append
+        for _ in range(n):
+            x = (x + golden) & mask
+            z = ((x ^ (x >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            append(((z ^ (z >> 31)) >> 11) / scale)
+        return floats
 
 
 # ======================================================================
@@ -552,12 +546,12 @@ class FaultInjector:
 
     def probe_noise_block(
         self, kind: str, elapsed_ns: int, n: int
-    ) -> Optional[Tuple[np.ndarray, Callable[[int], None]]]:
+    ) -> Optional[Tuple[List[int], Callable[[int], None]]]:
         """``n`` sequential :meth:`probe_elapsed` calls, drawn as one block.
 
         Returns ``None`` when the family draws nothing (the probes keep
         ``elapsed_ns``).  Otherwise returns ``(times, commit)``:
-        ``times[i]`` (int64) is what the i-th of ``n`` sequential
+        ``times[i]`` is what the i-th of ``n`` sequential
         ``probe_elapsed(kind, elapsed_ns)`` calls would return — same
         draws in the same order, same truncation and tick — and
         ``commit(k)`` applies exactly the first ``k`` calls' side
@@ -575,21 +569,23 @@ class FaultInjector:
         per_call = jitter + spikes
         draws = stream.peek_floats(per_call * n)
         if jitter:
-            times = (draws[0::per_call] * latency.jitter_ns).astype(np.int64)
-            times += elapsed_ns
+            jitter_ns = latency.jitter_ns
+            times = [elapsed_ns + int(draw * jitter_ns) for draw in draws[0::per_call]]
         else:
-            times = np.full(n, elapsed_ns, dtype=np.int64)
+            times = [elapsed_ns] * n
         spike_calls: List[int] = []
+        spike_ns = latency.spike_ns
         if spikes:
-            spiked = np.flatnonzero(draws[per_call - 1::per_call] < latency.spike_prob)
-            if spiked.size:
-                times[spiked] += latency.spike_ns
-                spike_calls = spiked.tolist()
+            spike_prob = latency.spike_prob
+            spike_calls = [
+                i for i, draw in enumerate(draws[per_call - 1 :: per_call]) if draw < spike_prob
+            ]
+            for i in spike_calls:
+                times[i] += spike_ns
         if latency.granularity_ns:
             tick = latency.granularity_ns
-            times = -(-times // tick) * tick
+            times = [-(-total // tick) * tick for total in times]
         first = stream.counter
-        spike_ns = latency.spike_ns
 
         def commit(k: int) -> None:
             stream.counter = first + per_call * k
@@ -598,7 +594,7 @@ class FaultInjector:
                 if i >= k:
                     break
                 self._note_spike(kind, first + per_call * (i + 1), spike_ns)
-            self.jitter_total_ns += int(times[:k].sum()) - k * elapsed_ns
+            self.jitter_total_ns += sum(times[:k]) - k * elapsed_ns
 
         return times, commit
 

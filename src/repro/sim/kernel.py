@@ -80,7 +80,7 @@ class Kernel:
         obs: Optional[Observability] = None,
         event_capacity: Optional[int] = None,
         name_cache: bool = True,
-        numpy_paths: bool = True,
+        batch_paths: bool = True,
     ) -> None:
         self.config = config or MachineConfig()
         self.platform = platform
@@ -163,15 +163,15 @@ class Kernel:
             self.contents, open_counts,
         )
         self.vm = VMLayer(cfg, self.clock, self.mm, self.swap_disk, self.page_cache)
-        # ``numpy_paths=False`` builds the scalar compatibility kernel:
+        # ``batch_paths=False`` builds the scalar compatibility kernel:
         # every vectorized fast path stands down and the per-page loops
         # run instead.  The differential fuzzer runs twin kernels in both
         # modes and requires bit-identical traces, obs records, and
         # schedules (simulated behaviour must not depend on the mode).
-        self.numpy_paths = numpy_paths
-        self.vm.numpy_paths = numpy_paths
-        self.fileio.numpy_paths = numpy_paths
-        self.page_cache.numpy_paths = numpy_paths
+        self.batch_paths = batch_paths
+        self.vm.batch_paths = batch_paths
+        self.fileio.batch_paths = batch_paths
+        self.page_cache.batch_paths = batch_paths
 
         self.syscalls = SyscallTable()
         self.vfs.register_syscalls(self.syscalls)

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-import numpy as np
-
 from repro.sim.cache.base import AnonKey, FileKey, MetaKey, PageEntry
 from repro.sim.config import MachineConfig
 from repro.sim.disk import Disk
@@ -51,29 +49,6 @@ def runs(sorted_values: List[int]) -> Iterable[Tuple[int, int]]:
         yield start, length
 
 
-#: Below this many blocks the Python ``sort`` + ``runs`` pass beats
-#: numpy's fixed per-op overhead; above it ``np.unique`` + one diff
-#: split wins and the margin grows with flush size.  Both compute the
-#: same (start, length) runs, so the crossover is host-time tuning only.
-_NUMPY_RUNS_MIN = 64
-
-
-def runs_array(blocks: List[int]) -> List[Tuple[int, int]]:
-    """``runs(sorted(set(blocks)))`` computed vectorially.
-
-    One ``np.unique`` (sort + dedup) and one ``diff`` split replace the
-    per-element Python loop; identical output to :func:`runs` over the
-    sorted, duplicate-skipping input by construction.
-    """
-    uniq = np.unique(np.asarray(blocks, dtype=np.int64))
-    splits = np.flatnonzero(np.diff(uniq) > 1) + 1
-    starts = np.concatenate(([0], splits))
-    ends = np.concatenate((splits, [uniq.shape[0]]))
-    run_starts = uniq[starts].tolist()
-    lengths = (ends - starts).tolist()
-    return list(zip(run_starts, lengths))
-
-
 class PageCacheManager:
     """Owns cached data-page I/O: fills, writebacks, and throttling.
 
@@ -95,12 +70,10 @@ class PageCacheManager:
         self.swap_disk = swap_disk
         self._fs_by_id = fs_by_id
         self._disk_of_fs = disk_of_fs
-        #: Gate for the vectorized run computation in
-        #: :meth:`write_block_runs` and the page-run fills in
-        #: :meth:`read_file_pages` and :meth:`write_file_pages`;
-        #: ``Kernel(numpy_paths=False)`` turns it off for the
-        #: scalar-vs-vector differential fuzzer.
-        self.numpy_paths: bool = True
+        #: Gate for the page-run fills in :meth:`read_file_pages` and
+        #: :meth:`write_file_pages`; ``Kernel(batch_paths=False)`` turns
+        #: it off for the scalar-vs-vector differential fuzzer.
+        self.batch_paths: bool = True
 
     # ------------------------------------------------------------------
     # Reads
@@ -114,11 +87,11 @@ class PageCacheManager:
         clustered into single disk requests.  A contiguous range of two
         or more mapped pages enters the cache through one
         :meth:`MemoryManager.touch_file_run`; anything else, or every
-        read with ``numpy_paths`` off, touches page by page.
+        read with ``batch_paths`` off, touches page by page.
         """
         mm = self.mm
         if (
-            self.numpy_paths
+            self.batch_paths
             and type(indexes) is range
             and indexes.step == 1
             and len(indexes) >= 2
@@ -169,7 +142,7 @@ class PageCacheManager:
         """Dirty the pages covering [offset, offset+nbytes) through the cache.
 
         A partially written page that is not cached is read first.  With
-        ``numpy_paths`` on, the wholly written pages between a partial
+        ``batch_paths`` on, the wholly written pages between a partial
         head and a partial tail page are dirtied as one
         :meth:`MemoryManager.touch_file_run` when there are two or more.
         """
@@ -194,7 +167,7 @@ class PageCacheManager:
 
         # Pages [lo, hi) are written whole; without a run, lo = hi = last + 1.
         lo = hi = last + 1
-        if self.numpy_paths:
+        if self.batch_paths:
             lo = first + (offset % page != 0)
             hi = last + (end % page == 0)
             if hi - lo < 2:
@@ -247,15 +220,9 @@ class PageCacheManager:
 
         Sorts the list in place exactly once per flush (building fresh
         ``sorted()`` copies at every call site showed up in the
-        writeback/swap profiles).
+        writeback/swap profiles); a block listed twice is written once.
         """
-        if not blocks:
-            return t
         page = self.config.page_size
-        if self.numpy_paths and len(blocks) >= _NUMPY_RUNS_MIN:
-            # Same runs, one vectorized sort/dedup/split, one batched
-            # disk call servicing the whole storm.
-            return disk.access_runs(runs_array(blocks), t, page, write=True)
         blocks.sort()
         for start, length in runs(blocks):
             _s, t = disk.access(start, length, t, page, write=True)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-import numpy as np
-
 from repro.sim.cache.base import AnonKey
 from repro.sim.clock import Clock
 from repro.sim.config import MachineConfig
@@ -53,11 +51,11 @@ class VMLayer:
         #: batch's early-stop predicate sees the noisy time, exactly
         #: like the user-space sequential loop would).
         self.inject: Optional[Any] = None
-        #: Gate for the vectorized run paths (numpy membership tests +
-        #: batched policy updates).  ``Kernel(numpy_paths=False)`` turns
-        #: them off so the differential fuzzer can pin the vector paths
-        #: against the scalar per-page loop bit for bit.
-        self.numpy_paths: bool = True
+        #: Gate for the vectorized run paths (residency-mirror membership
+        #: tests + batched policy updates).  ``Kernel(batch_paths=False)``
+        #: turns them off so the differential fuzzer can pin the vector
+        #: paths against the scalar per-page loop bit for bit.
+        self.batch_paths: bool = True
 
     def register_syscalls(self, table: SyscallTable) -> None:
         table.register("vm_alloc", self.sys_vm_alloc)
@@ -193,7 +191,7 @@ class VMLayer:
            run that is all resident, or a stride-1 run no page of which
            was ever touched, with or without touch noise.
         2. **Scalar loop** — everything else (mixed runs, swap-ins,
-           reclaim pressure, out-of-bounds runs, ``numpy_paths=False``):
+           reclaim pressure, out-of-bounds runs, ``batch_paths=False``):
            the resident fast check per page, ``touch_one`` for real
            faults, noise and early-stop applied per touch.  It is the
            reference the vector run is fuzzed against.
@@ -204,7 +202,7 @@ class VMLayer:
         last_index = start_page + ((npages - 1) // stride) * stride
         in_bounds = 0 <= start_page and last_index < region.npages
         base_page = region.base_page
-        if in_bounds and self.numpy_paths:
+        if in_bounds and self.batch_paths:
             run = self._vector_run(
                 process, base_page + start_page, (npages - 1) // stride + 1,
                 stride, threshold_ns, slow_count, slow_window,
@@ -297,7 +295,7 @@ class VMLayer:
             # Probes are ``stride`` pages apart and the window counts
             # page indexes, so it spans ceil(slow_window / stride) probes.
             kept, stopped = _early_stop(
-                np.full(count, base_ns, dtype=np.int64) if noise is None else noise[0],
+                [base_ns] * count if noise is None else noise[0],
                 threshold_ns, slow_count, -(-slow_window // stride),
             )
         if cells is not None:
@@ -311,29 +309,26 @@ class VMLayer:
         times, commit = noise
         commit(kept)
         times = times[:kept]
-        return times.tolist(), stopped, int(times.sum())
+        return times, stopped, sum(times)
 
 
 def _early_stop(
-    times: np.ndarray, threshold_ns: int, slow_count: int, window: int
+    times: List[int], threshold_ns: int, slow_count: int, window: int
 ) -> Tuple[int, bool]:
     """MAC's windowed early-stop predicate over a batch's probe times.
 
     Probe i is slow when ``times[i] > threshold_ns``.  The batch stops
     right after the first slow probe that has at least ``slow_count``
-    slow probes among the ``window`` probes ending at it.  Returns
-    ``(kept, stopped)``: how many probes the batch keeps, and whether
-    the predicate tripped.
+    slow probes among the ``window`` probes ending at it, which holds
+    when the ``slow_count``-th slow probe back from it lies inside that
+    window.  Returns ``(kept, stopped)``: how many probes the batch
+    keeps, and whether the predicate tripped.
     """
-    slow = times > threshold_ns
-    if not slow.any():
-        return times.shape[0], False
-    recent = np.cumsum(slow)
-    recent[window:] -= recent[:-window].copy()
-    trips = np.flatnonzero(slow & (recent >= slow_count))
-    if trips.size == 0:
-        return times.shape[0], False
-    return int(trips[0]) + 1, True
+    slow = [i for i, elapsed in enumerate(times) if elapsed > threshold_ns]
+    for j in range(slow_count - 1, len(slow)):
+        if slow[j] - slow[j - slow_count + 1] < window:
+            return slow[j] + 1, True
+    return len(times), False
 
 
 __all__ = ["VMLayer"]

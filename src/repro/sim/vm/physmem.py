@@ -90,13 +90,14 @@ class MemoryManager:
         self._anon_capacity = plan.anon_capacity_pages
         self._unified = plan.unified
 
-        # Array-backed residency mirrors (see repro.sim.vm.residency):
+        # Byte-per-page residency mirrors (see repro.sim.vm.residency):
         # per-(fs_id, ino) file-page presence and per-pid anon-page
         # presence, each paired with the pool's per-page cells.
         # Every insert/remove below keeps them exact, so the vectorized
         # fault and read paths can test whole-run membership with one
-        # numpy op.  MetaKeys are not mirrored — no batch path needs
-        # them, and their block numbers are too sparse for dense arrays.
+        # bytearray search.  MetaKeys are not mirrored — no batch path
+        # needs them, and their block numbers are too sparse for dense
+        # vectors.
         self._file_index = ResidencyIndex()
         self._anon_index = ResidencyIndex()
 
@@ -263,16 +264,16 @@ class MemoryManager:
         """
         return self._file_pool.touch_cached(key)
 
-    def touch_file_pages_resident(self, fs_id: int, ino: int, pages) -> bool:
+    def touch_file_pages_resident(self, fs_id: int, ino: int, pages: List[int]) -> bool:
         """Clean bulk touch of one file's pages; True iff all resident.
 
-        ``pages`` is an integer numpy array of page indexes in probe
-        order (duplicates allowed).  On True, pool state and hit counts
-        are exactly what ``len(pages)`` successful
-        :meth:`touch_file_cached` calls in that order would have left;
-        on False nothing is mutated and the caller takes the scalar
-        path.  One vectorized membership test replaces the per-probe
-        key construction and dict probe.
+        ``pages`` lists page indexes in probe order (duplicates
+        allowed).  On True, pool state and hit counts are exactly what
+        ``len(pages)`` successful :meth:`touch_file_cached` calls in
+        that order would have left; on False nothing is mutated and the
+        caller takes the scalar path.  One membership test of the
+        residency mirror replaces the per-probe key construction and
+        dict probe.
         """
         cells = self._file_index.cells_at_if_all_present((fs_id, ino), pages)
         if cells is None:
@@ -324,7 +325,7 @@ class MemoryManager:
         work.  Pool order and stats, reclaims, victims, ``kernel.reclaim``
         events, ``file_epoch``, the dirty index and page owners end up
         exactly as the per-page fold leaves them.  The run is walked in
-        same-state spans of the file's residency bitmap.  A resident
+        same-state spans of the file's residency vector.  A resident
         span is one :meth:`CachePolicy.reference_cells`.  An absent span
         is inserted in chunks that fill the pool's free room, with the
         fold's own ``_reclaim`` call at the page whose miss finds the
@@ -515,7 +516,7 @@ class MemoryManager:
     ) -> Optional[List[Any]]:
         """Cells of the strided run ``range(start, stop, step)`` iff all resident.
 
-        Pages are absolute page numbers.  One numpy slice of the anon
+        Pages are absolute page numbers.  One slice of the anon
         residency mirror; nothing is touched.  ``None`` when any page is
         absent.  Pass (a prefix of) the result to
         :meth:`touch_anon_cells` to fault the pages in.

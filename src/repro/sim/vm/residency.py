@@ -1,16 +1,18 @@
-"""Array-backed residency mirrors for the vectorized fault/read paths.
+"""Byte-per-page residency mirrors for the vectorized fault/read paths.
 
 Per-key dict residency (hash a ``FileKey``/``AnonKey``, probe the
-policy's OrderedDict) cannot be vectorized: the hashing is Python-level.
-But the page *indexes* inside one owner — one file's page numbers, one
-process's virtual pages — are small dense integers, so residency per
-owner is representable as a numpy byte array where membership of a whole
-run is a single sliced ``.all()`` instead of K dict probes.
+policy's OrderedDict) costs a Python-level hash per page.  But the page
+*indexes* inside one owner — one file's page numbers, one process's
+virtual pages — are small dense integers, so residency per owner is
+representable as one byte per page, the vector ``mincore()`` returns:
+membership of a whole run is one ``bytearray`` search in C instead of K
+dict probes.
 
 :class:`ResidencyIndex` maintains, per owner, two parallel structures:
 
-* ``present`` — a ``uint8`` numpy array, 1 where the page is resident in
-  the mirrored pool.  Vectorized membership: ``present[a:b:s].all()``.
+* ``present`` — a ``bytearray``, 1 where the page is resident in the
+  mirrored pool.  Run membership: ``0 in present[a:b:s]``; span ends:
+  ``present.find(0 or 1, a, b)``.
 * ``cells`` — a Python list of the policy's per-page *replay cells*
   (the cell contract in :mod:`repro.sim.cache.base`), ``None`` where
   absent.  Once a run tests fully present, slicing this list hands
@@ -21,11 +23,11 @@ The index is a pure mirror: the :class:`~repro.sim.vm.physmem.MemoryManager`
 updates it at every point where a file or anonymous page enters or
 leaves a pool, and nothing else writes it.  Cells stay valid exactly as
 long as the page stays resident (policies guarantee cell identity across
-hits), which is the same lifetime the presence bit tracks — so there is
-no epoch to check: a set bit *is* the validity proof for its cell.
+hits), which is the same lifetime the presence byte tracks — so there is
+no epoch to check: a set byte *is* the validity proof for its cell.
 
 Scalar hot paths are untouched by design: maintaining the mirror costs
-one array store + one list store per insert/remove (paths that already
+one byte store + one list store per insert/remove (paths that already
 do reclaim probes and dict surgery), and zero on the hit paths.
 """
 
@@ -33,29 +35,25 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-import numpy as np
-
 _MIN_PAGES = 16
 
 
 class OwnerResidency:
-    """One owner's presence bitmap + cell list, grown geometrically."""
+    """One owner's presence vector + cell list, grown geometrically."""
 
     __slots__ = ("present", "cells")
 
     def __init__(self, size_hint: int = _MIN_PAGES) -> None:
         size = max(size_hint, _MIN_PAGES)
-        self.present = np.zeros(size, dtype=np.uint8)
+        self.present = bytearray(size)
         self.cells: List[Any] = [None] * size
 
     def ensure(self, size: int) -> None:
-        current = self.present.shape[0]
+        current = len(self.present)
         if size <= current:
             return
         grown = max(size, current * 2)
-        fresh = np.zeros(grown, dtype=np.uint8)
-        fresh[:current] = self.present
-        self.present = fresh
+        self.present.extend(bytes(grown - current))
         self.cells.extend([None] * (grown - current))
 
 
@@ -79,7 +77,7 @@ class ResidencyIndex:
 
     def clear(self, owner: Hashable, index: int) -> None:
         slab = self._owners.get(owner)
-        if slab is not None and index < slab.present.shape[0]:
+        if slab is not None and index < len(slab.present):
             slab.present[index] = 0
             slab.cells[index] = None
 
@@ -90,7 +88,7 @@ class ResidencyIndex:
             return
         present = slab.present
         cells = slab.cells
-        limit = present.shape[0]
+        limit = len(present)
         for index in indexes:
             if index < limit:
                 present[index] = 0
@@ -107,48 +105,49 @@ class ResidencyIndex:
             slab = self._owners[owner] = OwnerResidency(stop)
         else:
             slab.ensure(stop)
-        slab.present[start:stop] = 1
+        slab.present[start:stop] = b"\x01" * len(cells)
         slab.cells[start:stop] = cells
 
-    # Vectorized queries (fast-path side) ------------------------------
+    # Run queries (fast-path side) --------------------------------------
     def count(self, owner: Hashable) -> int:
         """How many of ``owner``'s pages are resident."""
         slab = self._owners.get(owner)
-        return 0 if slab is None else int(np.count_nonzero(slab.present))
+        return 0 if slab is None else slab.present.count(1)
 
     def cells_if_all_present(
         self, owner: Hashable, start: int, stop: int, step: int = 1
     ) -> Optional[List[Any]]:
         """Cells for ``range(start, stop, step)`` iff every page is resident.
 
-        One sliced membership test; ``None`` (nothing mutated, nothing
-        allocated beyond the view) when any page is absent or unknown.
+        One sliced membership test; ``None`` (nothing mutated) when any
+        page is absent or unknown, or the range is empty.
         """
         slab = self._owners.get(owner)
         if slab is None:
             return None
         present = slab.present
-        if stop > present.shape[0]:
+        if stop > len(present):
             return None
         view = present[start:stop:step]
-        if view.shape[0] == 0 or not view.all():
+        if not view or 0 in view:
             return None
         return slab.cells[start:stop:step]
 
     def cells_at_if_all_present(
-        self, owner: Hashable, indexes: "np.ndarray"
+        self, owner: Hashable, indexes: List[int]
     ) -> Optional[List[Any]]:
-        """Cells at arbitrary ``indexes`` (int array, any order, dups ok)."""
+        """Cells at arbitrary ``indexes`` (ints, any order, dups ok)."""
         slab = self._owners.get(owner)
-        if slab is None:
+        if slab is None or not indexes:
             return None
         present = slab.present
-        if indexes.shape[0] == 0 or int(indexes.max()) >= present.shape[0]:
+        if max(indexes) >= len(present):
             return None
-        if not present[indexes].all():
-            return None
+        for i in indexes:
+            if not present[i]:
+                return None
         cells = slab.cells
-        return [cells[i] for i in indexes.tolist()]
+        return [cells[i] for i in indexes]
 
     def span(
         self, owner: Hashable, start: int, stop: int
@@ -158,35 +157,31 @@ class ResidencyIndex:
         Returns ``(end, cells)``: every page of ``[start, end)`` is
         resident (``cells`` is their cell list) or every one is absent
         (``cells`` is None), and ``end`` is as large as that allows.
-        One numpy ``argmin`` (first absent page of a resident span) or
-        ``argmax`` (first resident page of an absent one) finds the end.
-        Requires ``start < stop``.
+        One ``find`` of the first absent page of a resident span, or of
+        the first resident page of an absent one, gives the end; pages
+        past the vector are absent.  Requires ``start < stop``.
         """
         slab = self._owners.get(owner)
         if slab is None:
             return stop, None
         present = slab.present
-        limit = present.shape[0]
+        limit = len(present)
         if start >= limit:
             return stop, None
-        view = present[start:min(stop, limit)]
-        if view[0]:
-            change = int(view.argmin())
-            end = start + (change or view.shape[0])
+        if present[start]:
+            end = present.find(0, start, stop)
+            if end < 0:
+                end = min(stop, limit)
             return end, slab.cells[start:end]
-        change = int(view.argmax())
-        return (start + change if change else stop), None
+        end = present.find(1, start, stop)
+        return (stop if end < 0 else end), None
 
     def all_absent_run(self, owner: Hashable, start: int, stop: int) -> bool:
         """True when no page of ``[start, stop)`` is resident."""
         slab = self._owners.get(owner)
         if slab is None:
             return True
-        present = slab.present
-        end = min(stop, present.shape[0])
-        if start >= end:
-            return True
-        return not present[start:end].any()
+        return slab.present.find(1, start, stop) < 0
 
 
 __all__ = ["OwnerResidency", "ResidencyIndex"]

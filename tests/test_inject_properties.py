@@ -174,7 +174,7 @@ def test_block_draws_equal_sequential_draws(
         reference.next_float()
     peeked = reference.peek_floats(n)
     assert reference.counter == warmup
-    assert peeked.tolist() == [reference.next_float() for _ in range(n)]
+    assert peeked == [reference.next_float() for _ in range(n)]
 
     ours, twin = FaultInjector(config), FaultInjector(config)
     our_kernel, twin_kernel = Kernel(small_config()), Kernel(small_config())
@@ -196,13 +196,13 @@ def test_block_draws_equal_sequential_draws(
     times, commit = block
     commit(k)
     expected = [twin.probe_elapsed(kind, elapsed_ns) for _ in range(k)]
-    assert times[:k].tolist() == expected
+    assert times[:k] == expected
     assert _stream_counters(ours) == _stream_counters(twin)
     assert ours.schedule == twin.schedule
     assert ours.stats() == twin.stats()
     assert _spike_counters(our_kernel) == _spike_counters(twin_kernel)
     expected += [twin.probe_elapsed(kind, elapsed_ns) for _ in range(n - k)]
-    assert times.tolist() == expected
+    assert times == expected
 
 
 @pytest.mark.parametrize("field", ["jitter_ns", "spike_ns", "granularity_ns"])

@@ -430,7 +430,7 @@ def test_differential_noisy_replay_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Vectorized vs scalar: the numpy fast paths must be invisible
+# Vectorized vs scalar: the batch fast paths must be invisible
 # ---------------------------------------------------------------------------
 def obs_digest(kernel: Kernel) -> str:
     """Hash of the full observability stream (simulated stamps only)."""
@@ -456,11 +456,11 @@ def vector_workout(seed: int, steps: int, page: int = 4 * KIB):
     scalar fallback: contiguous zero-fill runs, resident re-touch runs,
     strided batches, thresholded batches on resident and fresh pages,
     uniform and mixed-length pread batches, dcache stat replays, and
-    writeback storms large enough to take the numpy run-coalescing path.
+    writeback storms of hundreds of blocks.
     Returns how many thresholded batches stopped early."""
     rng = random.Random(seed)
     fd = (yield sc.create("/mnt0/vw.dat")).value
-    yield sc.write(fd, 2 * MIB)  # > _NUMPY_RUNS_MIN blocks: numpy runs
+    yield sc.write(fd, 2 * MIB)  # a 512-block writeback storm
     region = (yield sc.vm_alloc(64 * page)).value
     yield sc.touch_range(region, 0, 64)  # zero-fill run
     fresh = (yield sc.vm_alloc(32 * page)).value
@@ -517,8 +517,8 @@ def vector_workout(seed: int, steps: int, page: int = 4 * KIB):
     return stops
 
 
-def _run_mode_twin(seed: int, numpy_paths: bool, noisy: bool):
-    kernel = Kernel(small_config(), numpy_paths=numpy_paths)
+def _run_mode_twin(seed: int, batch_paths: bool, noisy: bool):
+    kernel = Kernel(small_config(), batch_paths=batch_paths)
     injector = None
     if noisy:
         injector = FaultInjector(_probe_jitter_config(seed))
@@ -534,8 +534,8 @@ def _run_mode_twin(seed: int, numpy_paths: bool, noisy: bool):
 
 
 @pytest.mark.parametrize("noisy", [False, True])
-def test_differential_numpy_vs_scalar_paths(noisy):
-    """30 twin pairs per mode: a ``numpy_paths=False`` compatibility
+def test_differential_batch_vs_scalar_paths(noisy):
+    """30 twin pairs per mode: a ``batch_paths=False`` compatibility
     kernel must be byte-indistinguishable — same clock, same machine
     state, same obs records, same injector schedule and stats, same
     early stops — from the vectorized default over a workload shaped to
@@ -543,10 +543,10 @@ def test_differential_numpy_vs_scalar_paths(noisy):
     stops = 0
     for case in range(30):
         seed = 0x7EC + 541 * case
-        vec = _run_mode_twin(seed, numpy_paths=True, noisy=noisy)
-        sca = _run_mode_twin(seed, numpy_paths=False, noisy=noisy)
+        vec = _run_mode_twin(seed, batch_paths=True, noisy=noisy)
+        sca = _run_mode_twin(seed, batch_paths=False, noisy=noisy)
         assert vec == sca, (
-            f"numpy/scalar divergence (noisy={noisy}): reproduce with "
+            f"batch/scalar divergence (noisy={noisy}): reproduce with "
             f"seed={seed} ({vec} != {sca})"
         )
         stops += vec[-1]
@@ -603,9 +603,9 @@ _PRESSURE_MACHINES = {
 }
 
 
-def _run_pressure_twin(platform, seed: int, numpy_paths: bool):
+def _run_pressure_twin(platform, seed: int, batch_paths: bool):
     config = _PRESSURE_MACHINES[platform]
-    kernel = Kernel(config, platform, numpy_paths=numpy_paths)
+    kernel = Kernel(config, platform, batch_paths=batch_paths)
     workout = pressure_workout(seed, 60, config.page_size, file_pages=1536)
     assert kernel.run_process(workout, "pressure") == "survived"
     reclaims = len(kernel.obs.events.by_name("kernel.reclaim"))
@@ -613,24 +613,24 @@ def _run_pressure_twin(platform, seed: int, numpy_paths: bool):
 
 
 @pytest.mark.parametrize("platform", [linux22, netbsd15, solaris7], ids=lambda p: p.name)
-def test_differential_numpy_vs_scalar_under_pressure(platform):
+def test_differential_batch_vs_scalar_under_pressure(platform):
     """The page-run fill paths, and every other vectorized path, match
     their scalar twins while the pool reclaims: same clock, same pool
     state (ring order included), dirty index, page owners, file epoch,
     filesystem image and obs stream."""
     for case in range(15):
         seed = 0x9E5 + 613 * case
-        vec = _run_pressure_twin(platform, seed, numpy_paths=True)
-        sca = _run_pressure_twin(platform, seed, numpy_paths=False)
+        vec = _run_pressure_twin(platform, seed, batch_paths=True)
+        sca = _run_pressure_twin(platform, seed, batch_paths=False)
         assert vec[3] > 0, f"{platform.name} seed={seed}: no reclaim, no pressure"
         assert vec == sca, (
-            f"numpy/scalar divergence under pressure on {platform.name}: "
+            f"batch/scalar divergence under pressure on {platform.name}: "
             f"reproduce with seed={seed}"
         )
 
 
-@pytest.mark.parametrize("numpy_paths", [True, False])
-def test_differential_touch_range_vs_touch_batch(numpy_paths):
+@pytest.mark.parametrize("batch_paths", [True, False])
+def test_differential_touch_range_vs_touch_batch(batch_paths):
     """touch_range must be touch_batch at stride 1 with no predicate:
     same per-page times, same clock, same machine — in both kernel
     modes (the two syscalls share one interior; this pins the routing)."""
@@ -643,7 +643,7 @@ def test_differential_touch_range_vs_touch_batch(numpy_paths):
         ]
 
         def run(use_range: bool):
-            kernel = Kernel(small_config(), numpy_paths=numpy_paths)
+            kernel = Kernel(small_config(), batch_paths=batch_paths)
 
             def app():
                 region = (yield sc.vm_alloc(64 * 4 * KIB)).value
@@ -663,7 +663,7 @@ def test_differential_touch_range_vs_touch_batch(numpy_paths):
         as_range, as_batch = run(True), run(False)
         assert as_range == as_batch, (
             f"touch_range/touch_batch divergence "
-            f"(numpy_paths={numpy_paths}): reproduce with seed={seed}"
+            f"(batch_paths={batch_paths}): reproduce with seed={seed}"
         )
 
 
@@ -918,7 +918,7 @@ def assert_dirty_index_matches_pool(mm):
 
 
 def assert_residency_matches_pool(mm):
-    """Check the numpy residency mirrors against the pools they mirror.
+    """Check the residency mirrors against the pools they mirror.
 
     For every owner in the file and anon indexes, a presence bit is set
     exactly when its key is in the pool, and a set bit's cell is the
@@ -939,7 +939,7 @@ def assert_residency_matches_pool(mm):
     )
     for index, pool, make_key in mirrors:
         for owner, slab in index._owners.items():
-            for i, bit in enumerate(slab.present.tolist()):
+            for i, bit in enumerate(slab.present):
                 key = make_key(owner, i)
                 cell = slab.cells[i]
                 assert bool(bit) == pool.contains(key), (
@@ -1235,7 +1235,7 @@ def test_differential_channels_noisy_replay():
         assert first.frame_span_ns == second.frame_span_ns, channel
 
 
-def test_differential_channels_numpy_vs_scalar():
+def test_differential_channels_batch_vs_scalar():
     """Twin kernels, vectorized vs scalar paths, decode the same frame.
 
     Simulated behaviour must not depend on the implementation mode:
@@ -1245,8 +1245,8 @@ def test_differential_channels_numpy_vs_scalar():
     from repro.experiments.channels import run_channel
 
     for channel in ("residency", "writeback"):
-        vec = run_channel(channel, noise=0.5, n_bits=24, numpy_paths=True)
-        scalar = run_channel(channel, noise=0.5, n_bits=24, numpy_paths=False)
+        vec = run_channel(channel, noise=0.5, n_bits=24, batch_paths=True)
+        scalar = run_channel(channel, noise=0.5, n_bits=24, batch_paths=False)
         assert vec.latencies == scalar.latencies, channel
         assert vec.decoded_bits == scalar.decoded_bits, channel
         assert vec.digest == scalar.digest, channel

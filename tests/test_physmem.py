@@ -1,11 +1,15 @@
 """MemoryManager: pools, faults, reclaim, swap accounting."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.cache.base import AnonKey, FileKey, MetaKey
 from repro.sim.config import MachineConfig, linux22, netbsd15
 from repro.sim.errors import OutOfMemory
 from repro.sim.vm.physmem import FaultKind, MemoryManager
+from repro.sim.vm.residency import ResidencyIndex
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -223,3 +227,110 @@ class TestOutOfMemory:
             # must eventually exhaust it.
             for i in range(3 * cap):
                 mm.anon_fault(AnonKey(1, i), touched_before=False)
+
+
+# ---------------------------------------------------------------------------
+# ResidencyIndex against a naive model
+# ---------------------------------------------------------------------------
+# Owner "z" is never written, so every query also meets an unknown owner.
+_OWNERS = st.sampled_from(["a", "b", "c"])
+_QUERY_OWNERS = st.sampled_from(["a", "b", "c", "z"])
+# Past the 16-page initial vector, so writes grow it through ``ensure``
+# and queries start at, and run past, its end.
+_PAGE = st.integers(0, 80)
+_KINDS = st.sampled_from(["set", "clear", "clear_many", "register_run", "drop_owner"])
+
+
+def _draw_op(data, model):
+    """One random operation; clears favour the owner's resident pages,
+    the last page of its vector included."""
+    kind, owner = data.draw(_KINDS), data.draw(_OWNERS)
+    resident = sorted(model.get(owner, {}))
+    page = st.one_of(st.sampled_from(resident), _PAGE) if resident else _PAGE
+    if kind in ("set", "clear"):
+        return kind, owner, data.draw(page)
+    if kind == "clear_many":
+        return kind, owner, data.draw(st.lists(page, max_size=8))
+    if kind == "register_run":
+        return kind, owner, data.draw(_PAGE), data.draw(st.integers(0, 24))
+    return kind, owner
+
+
+def _apply(index: ResidencyIndex, model, op, cell_ids) -> None:
+    """Apply one operation to the index and to the dict-of-dicts model."""
+    kind, owner = op[0], op[1]
+    pages = model.setdefault(owner, {})
+    if kind == "set":
+        cell = f"cell{next(cell_ids)}"
+        index.set(owner, op[2], cell)
+        pages[op[2]] = cell
+    elif kind == "clear":
+        index.clear(owner, op[2])
+        pages.pop(op[2], None)
+    elif kind == "clear_many":
+        index.clear_many(owner, op[2])
+        for page in op[2]:
+            pages.pop(page, None)
+    elif kind == "register_run":
+        start, cells = op[2], [f"cell{next(cell_ids)}" for _ in range(op[3])]
+        index.register_run(owner, start, cells)
+        pages.update(zip(range(start, start + len(cells)), cells))
+    else:
+        index.drop_owner(owner)
+        pages.clear()
+
+
+def _check_queries(index: ResidencyIndex, model, data) -> None:
+    """Every query of the index agrees with the model."""
+    for owner in ("a", "b", "c", "z"):
+        assert index.count(owner) == len(model.get(owner, {}))
+    owner = data.draw(_QUERY_OWNERS)
+    pages = model.get(owner, {})
+
+    # span: the same-state span that begins at ``start``.
+    start = data.draw(st.integers(0, 100))
+    stop = start + data.draw(st.integers(1, 30))
+    end = start
+    while end < stop and (end in pages) == (start in pages):
+        end += 1
+    expected = [pages[i] for i in range(start, end)] if start in pages else None
+    assert index.span(owner, start, stop) == (end, expected)
+
+    # cells_if_all_present over a caller-shaped range: ``stop`` is one
+    # past the last page, or ``start`` for an empty range.
+    start = data.draw(st.integers(0, 100))
+    count = data.draw(st.integers(0, 12))
+    step = data.draw(st.integers(1, 4))
+    stop = start + (count - 1) * step + 1 if count else start
+    wanted = range(start, stop, step)
+    expected = (
+        [pages[i] for i in wanted] if wanted and all(i in pages for i in wanted) else None
+    )
+    assert index.cells_if_all_present(owner, start, stop, step) == expected
+
+    # cells_at_if_all_present: any order, duplicates allowed.
+    at = data.draw(st.lists(st.sampled_from(sorted(pages)) if pages else _PAGE, max_size=10))
+    at += data.draw(st.lists(_PAGE, max_size=2))
+    expected = [pages[i] for i in at] if at and all(i in pages for i in at) else None
+    assert index.cells_at_if_all_present(owner, at) == expected
+
+    # all_absent_run, empty ranges included.
+    start = data.draw(st.integers(0, 100))
+    stop = data.draw(st.integers(0, 110))
+    expected = not any(i in pages for i in range(start, stop))
+    assert index.all_absent_run(owner, start, stop) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.integers(0, 30), data=st.data())
+def test_residency_index_matches_naive_model(steps, data):
+    """Random set/clear/clear_many/register_run/drop_owner sequences
+    leave every span, membership and count query of the residency
+    mirror equal to a dict-of-dicts model of the same pages."""
+    index = ResidencyIndex()
+    model = {}
+    cell_ids = itertools.count()
+    _check_queries(index, model, data)
+    for _ in range(steps):
+        _apply(index, model, _draw_op(data, model), cell_ids)
+        _check_queries(index, model, data)
