@@ -21,9 +21,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 from repro.obs.views import render_table
 
 
-def _jsonable(value: Any) -> Any:
-    """Coerce exotic values (tuples, keys, generators) to JSON-safe form."""
-    return json.loads(json.dumps(value, default=str))
+#: The canonical record encoding: sorted keys, no whitespace, and
+#: ``str()`` of anything JSON has no form for.  Producers emit string
+#: keys only (``victims_by_pid`` maps pid strings), so one encode is
+#: the canonical form and ``json.loads`` of a line gives the record back.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
 
 
 def write_jsonl(path: Union[str, Path],
@@ -33,9 +35,10 @@ def write_jsonl(path: Union[str, Path],
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
+    encode = _ENCODER.encode
     with path.open("w") as handle:
         for record in records:
-            handle.write(json.dumps(_jsonable(record), sort_keys=True))
+            handle.write(encode(record))
             handle.write("\n")
             count += 1
     return count
@@ -61,13 +64,11 @@ def stream_digest(records: Iterable[Dict[str, Any]]) -> str:
     ledgers, independent of which registry instruments happen to exist.
     """
     digest = hashlib.sha256()
+    encode = _ENCODER.encode
     for record in records:
         if record.get("type") not in ("event", "span", "pid_stats"):
             continue
-        canonical = json.dumps(
-            _jsonable(record), sort_keys=True, separators=(",", ":")
-        )
-        digest.update(canonical.encode("utf-8"))
+        digest.update(encode(record).encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
 

@@ -186,6 +186,16 @@ class CachePolicy(ABC):
     def mark_clean(self, key: PageKey) -> None:
         """Clear the dirty bit after a writeback (no-op if absent)."""
 
+    def clean_cells(self, cells: Sequence[Any]) -> None:
+        """Clear the dirty bits of resident pages by cell; ≡ a
+        :meth:`mark_clean` per page.
+
+        Key-addressed policies keep this default: their cell is the key.
+        """
+        mark_clean = self.mark_clean
+        for key in cells:
+            mark_clean(key)
+
     @abstractmethod
     def remove(self, key: PageKey) -> bool:
         """Drop the page (truncate/unlink/free); True if it was present."""

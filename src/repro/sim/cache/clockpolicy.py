@@ -107,6 +107,11 @@ class ClockPolicy(CachePolicy):
         if frame is not None:
             frame.dirty = False
 
+    def clean_cells(self, cells) -> None:
+        """Batched writeback: a dirty-bit store per frame, no hashing."""
+        for frame in cells:
+            frame.dirty = False
+
     def remove(self, key: PageKey) -> bool:
         return self._ring_of(key).pop(key, None) is not None
 

@@ -3,7 +3,9 @@
 The allocation policy is the gray-box knowledge FLDC depends on
 (§4.2.1), reproduced structurally:
 
-* the disk is split into cylinder groups (a few consecutive cylinders);
+* the disk is split into cylinder groups (a few consecutive cylinders),
+  each built the first time an inode, block, allocation or placement
+  reaches it — a file system touches a few of its hundreds of groups;
 * a new *directory* goes to the emptiest cylinder group;
 * a new *file's* inode comes from its directory's group, lowest free
   i-number first — so creation order within a fresh directory is
@@ -28,7 +30,12 @@ ROOT_INO = 1
 
 
 class CylinderGroup:
-    """One cylinder group: an inode table plus a data-block bitmap."""
+    """One cylinder group: an inode table plus a data-block bitmap.
+
+    Every change to its free block or inode count adds its index to
+    ``changed``, the set through which its file system keeps the
+    directory placement heap current.
+    """
 
     def __init__(
         self,
@@ -37,8 +44,10 @@ class CylinderGroup:
         nblocks: int,
         inodes_per_cg: int,
         block_bytes: int,
+        changed: Set[int],
     ) -> None:
         self.index = index
+        self.changed = changed
         self.first_block = first_block
         self.nblocks = nblocks
         self.inodes_per_cg = inodes_per_cg
@@ -75,10 +84,12 @@ class CylinderGroup:
         if self._recycled_heap:
             slot = heapq.heappop(self._recycled_heap)
             self._recycled.remove(slot)
+            self.changed.add(self.index)
             return slot
         if self._next_slot < self.inodes_per_cg:
             slot = self._next_slot
             self._next_slot += 1
+            self.changed.add(self.index)
             return slot
         return None
 
@@ -87,6 +98,7 @@ class CylinderGroup:
             raise InvalidArgument(f"free of unallocated inode slot {slot} in cg {self.index}")
         self._recycled.add(slot)
         heapq.heappush(self._recycled_heap, slot)
+        self.changed.add(self.index)
 
     # --- blocks -------------------------------------------------------
     def alloc_run(self, want: int, hint: Optional[int] = None) -> List[int]:
@@ -121,6 +133,7 @@ class CylinderGroup:
                 break
         self.free_block_count -= len(got)
         if got:
+            self.changed.add(self.index)
             self.rotor = got[-1] + 1 - self.data_first
             if self.rotor >= self.data_blocks:
                 self.rotor = 0
@@ -134,6 +147,7 @@ class CylinderGroup:
             raise InvalidArgument(f"double free of block {block} in cg {self.index}")
         self._bitmap[rel] = 0
         self.free_block_count += 1
+        self.changed.add(self.index)
 
 
 class FFS:
@@ -157,38 +171,52 @@ class FFS:
         self.blocks_per_cg = blocks_per_cg
         self.inodes_per_cg = inodes_per_cg
         self.alloc_gap = alloc_gap
-        self.groups: List[CylinderGroup] = []
-        first = 0
-        index = 0
-        while first + blocks_per_cg <= total_blocks:
-            self.groups.append(
-                CylinderGroup(index, first, blocks_per_cg, inodes_per_cg, block_bytes)
-            )
-            first += blocks_per_cg
-            index += 1
+        self.ngroups = total_blocks // blocks_per_cg
+        # Groups are built on first use (see group()); None until then.
+        self._groups: List[Optional[CylinderGroup]] = [None] * self.ngroups
+        # Directory placement (see pick_cg_for_directory): a heap of
+        # (-free blocks, -free inodes, index) over built groups, stale
+        # entries dropped lazily; the groups whose counts changed since
+        # it was last brought up to date; and the lowest index that may
+        # still be unbuilt.
+        self._placement: List[Tuple[int, int, int]] = []
+        self._changed: Set[int] = set()
+        self._unbuilt_from = 0
+        cg0 = self.group(0)
         # Running sum of every group's free_block_count, kept by the
-        # allocation paths so the NoSpace precheck is O(1).
-        self._free_blocks = sum(cg.free_block_count for cg in self.groups)
+        # allocation paths so the NoSpace precheck is O(1).  Every group
+        # has the same number of data blocks.
+        self._free_blocks = self.ngroups * cg0.data_blocks
         self.inodes: Dict[int, Inode] = {}
         self.directories: Dict[int, Directory] = {}
         # Reserve global ino 0 as invalid, like real FFS.
-        self.groups[0]._next_slot = 1
+        cg0._next_slot = 1
         self._make_root()
 
     # ------------------------------------------------------------------
     # Identity helpers
     # ------------------------------------------------------------------
+    def group(self, index: int) -> CylinderGroup:
+        """Cylinder group ``index``, built the first time anything reaches it."""
+        cg = self._groups[index]
+        if cg is None:
+            cg = self._groups[index] = CylinderGroup(
+                index, index * self.blocks_per_cg, self.blocks_per_cg,
+                self.inodes_per_cg, self.block_bytes, self._changed,
+            )
+            self._changed.add(index)
+        return cg
+
     def cg_of_inode(self, ino: int) -> CylinderGroup:
-        return self.groups[ino // self.inodes_per_cg]
+        return self.group(ino // self.inodes_per_cg)
 
     def cg_of_block(self, block: int) -> CylinderGroup:
-        return self.groups[block // self.blocks_per_cg]
+        return self.group(block // self.blocks_per_cg)
 
     def inode_table_block(self, ino: int) -> int:
         """Absolute disk block holding this inode's on-disk image."""
-        cg = self.cg_of_inode(ino)
-        slot = ino % self.inodes_per_cg
-        return cg.first_block + slot * INODE_BYTES // self.block_bytes
+        index, slot = divmod(ino, self.inodes_per_cg)
+        return index * self.blocks_per_cg + slot * INODE_BYTES // self.block_bytes
 
     def get_inode(self, ino: int) -> Inode:
         try:
@@ -213,9 +241,9 @@ class FFS:
     # Allocation
     # ------------------------------------------------------------------
     def _alloc_inode(self, preferred_cg: int) -> int:
-        n = len(self.groups)
+        n = self.ngroups
         for offset in range(n):
-            cg = self.groups[(preferred_cg + offset) % n]
+            cg = self.group((preferred_cg + offset) % n)
             slot = cg.alloc_inode_slot()
             if slot is not None:
                 return cg.index * self.inodes_per_cg + slot
@@ -225,15 +253,25 @@ class FFS:
         self.cg_of_inode(ino).free_inode_slot(ino % self.inodes_per_cg)
 
     def alloc_blocks(self, want: int, preferred_cg: int, hint: Optional[int] = None) -> List[int]:
-        """Allocate ``want`` blocks, preferring the given group, spilling onward."""
+        """Allocate ``want`` blocks, preferring the given group, spilling onward.
+
+        The hint applies to the preferred group only.  A built group with
+        no free block is passed over without a call.
+        """
         if want <= 0:
             return []
         if want > self.free_blocks_total():
             raise NoSpace(f"fs{self.fs_id}: need {want} blocks, fewer free")
         blocks: List[int] = []
-        n = len(self.groups)
+        groups = self._groups
+        n = self.ngroups
         for offset in range(n):
-            cg = self.groups[(preferred_cg + offset) % n]
+            index = (preferred_cg + offset) % n
+            cg = groups[index]
+            if cg is None:
+                cg = self.group(index)
+            elif not cg.free_block_count:
+                continue
             use_hint = hint if offset == 0 else None
             got = cg.alloc_run(want - len(blocks), use_hint)
             self._free_blocks -= len(got)
@@ -252,16 +290,51 @@ class FFS:
             self._free_blocks += 1
 
     def pick_cg_for_directory(self) -> int:
-        """FFS heuristic: put a new directory in the emptiest group."""
-        return max(
-            self.groups, key=lambda cg: (cg.free_block_count, cg.free_inode_count)
-        ).index
+        """FFS heuristic: put a new directory in the emptiest group.
+
+        The emptiest is the group with the most free blocks, then free
+        inodes, lowest index on ties.  An unbuilt group is full, the
+        largest key any group can have.  So while one exists, the answer
+        is the lowest-index group at that key: the lowest unbuilt group,
+        or a built group below it that is back to full.  The placement
+        heap's top is the built group with the largest key, lowest index
+        on ties; it is brought up to date here with the groups whose
+        counts changed since the last call.
+        """
+        heap = self._placement
+        groups = self._groups
+        for index in self._changed:
+            cg = groups[index]
+            heapq.heappush(heap, (-cg.free_block_count, -cg.free_inode_count, index))
+        self._changed.clear()
+        while True:
+            neg_blocks, neg_inodes, index = heap[0]
+            top = groups[index]
+            if -neg_blocks == top.free_block_count and -neg_inodes == top.free_inode_count:
+                break
+            heapq.heappop(heap)
+        n = self.ngroups
+        if len(heap) > 2 * n:
+            # Bound the stale entries: rebuild from the built groups.
+            heap[:] = [
+                (-cg.free_block_count, -cg.free_inode_count, cg.index)
+                for cg in groups if cg is not None
+            ]
+            heapq.heapify(heap)
+        unbuilt = self._unbuilt_from
+        while unbuilt < n and groups[unbuilt] is not None:
+            unbuilt += 1
+        self._unbuilt_from = unbuilt
+        top_is_full = -neg_blocks == top.data_blocks and -neg_inodes == top.inodes_per_cg
+        if unbuilt < n and (index > unbuilt or not top_is_full):
+            return unbuilt
+        return index
 
     # ------------------------------------------------------------------
     # Namespace operations (timing-free; the kernel charges I/O)
     # ------------------------------------------------------------------
     def _make_root(self) -> None:
-        cg0 = self.groups[0]
+        cg0 = self.group(0)
         slot = cg0.alloc_inode_slot()
         ino = slot  # cg 0, so global ino == slot; slot 0 was reserved → ino 1
         if ino != ROOT_INO:

@@ -46,8 +46,8 @@ class LogStructuredFS(FFS):
         if self._log_head is None:
             # The log begins after the first group's inode table and
             # only ever moves forward.
-            self._log_head = self.groups[0].data_first
-            self._log_end = self.groups[-1].first_block + self.groups[-1].nblocks
+            self._log_head = self.group(0).data_first
+            self._log_end = self.ngroups * self.blocks_per_cg
         blocks: List[int] = []
         head = self._log_head
         while len(blocks) < want:
@@ -65,6 +65,7 @@ class LogStructuredFS(FFS):
             cg = self.cg_of_block(block)
             cg._bitmap[block - cg.data_first] = 1
             cg.free_block_count -= 1
+            cg.changed.add(cg.index)
         self._free_blocks -= len(blocks)
         self._log_head = head
         return blocks
@@ -76,6 +77,7 @@ class LogStructuredFS(FFS):
             if cg._bitmap[block - cg.data_first]:
                 cg._bitmap[block - cg.data_first] = 0
                 cg.free_block_count += 1
+                cg.changed.add(cg.index)
                 self._free_blocks += 1
 
     def rewrite_pages(self, inode: Inode, first: int, last: int) -> None:

@@ -50,6 +50,7 @@ simulated timeline as the ICL's reaction (``icl.retry``,
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -131,7 +132,16 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_2_POW_53 = float(1 << 53)
+_2_POW_MINUS_53 = 2.0 ** -53
+
+#: Block sizes: a stream's first refill computes 8 draws and each later
+#: one twice as many, up to 512, so a stream that draws a handful of
+#: values never pays for hundreds.  Larger peeks are computed in
+#: 512-draw chunks.
+_BLOCK_MIN = 8
+_BLOCK_MAX = 512
+#: Bits per packed lane: a 64-bit state times a 64-bit constant fits.
+_LANE_BITS = 128
 
 
 def _fnv1a(text: str, basis: int = _FNV_OFFSET) -> int:
@@ -149,44 +159,101 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-class _Stream:
-    """One counter-indexed random stream: draw k is splitmix64(base+k)."""
+class _Lanes:
+    """Constants for running splitmix64 over ``n`` packed lanes at once."""
 
-    __slots__ = ("base", "counter")
+    __slots__ = ("ones", "steps", "mask", "unpack", "nbytes")
+
+    def __init__(self, n: int) -> None:
+        width = _LANE_BITS // 8
+        self.nbytes = width * n
+        # Lane k holds 1, and k * golden: a state plus it stays under
+        # 2**75 for k < 2**10, far inside its lane before the mask.
+        self.ones = int.from_bytes(b"\x01".ljust(width, b"\0") * n, "little")
+        self.steps = _GOLDEN * int.from_bytes(
+            b"".join(k.to_bytes(width, "little") for k in range(n)), "little"
+        )
+        self.mask = self.ones * _MASK64
+        self.unpack = struct.Struct("<" + "Q8x" * n).unpack
+
+
+#: Layouts by block size (8, 16, ... 512), each built when a refill first
+#: needs it: constants, so every stream may share them, and a run that
+#: installs no injector never pays their ~140 KB.
+_LANES: Dict[int, _Lanes] = {}
+
+
+def _draw_block(base: int, start: int, n: int) -> List[float]:
+    """Draws ``start .. start+n-1`` of the stream at ``base``; ``n`` is a
+    power of two, at least 8.
+
+    Each draw's 64-bit state sits in its own 128-bit lane of one int, so
+    each splitmix64 step is one big-int operation for all ``n`` draws.
+    A lane never carries into its neighbour: the states are masked to
+    64 bits, every right shift is masked back to its lane before the
+    next multiply (so a lane's product with a 64-bit constant fits its
+    128 bits); the last shift leaves the 53 bits the float takes, and
+    the mask after it drops what came in from the next lane.
+    For ``v < 2**53``, ``v * 2**-53`` is ``v / 2**53`` exactly, so each
+    element is bit-identical to the sequential draw.
+    """
+    if n > _BLOCK_MAX:
+        block: List[float] = []
+        for first in range(start, start + n, _BLOCK_MAX):
+            block += _draw_block(base, first, _BLOCK_MAX)
+        return block
+    lanes = _LANES.get(n)
+    if lanes is None:
+        lanes = _LANES[n] = _Lanes(n)
+    mask = lanes.mask
+    first = (base + (start + 1) * _GOLDEN) & _MASK64
+    x = (first * lanes.ones + lanes.steps) & mask
+    x = ((x ^ (x >> 30)) & mask) * _MIX1 & mask
+    x = ((x ^ (x >> 27)) & mask) * _MIX2 & mask
+    x = ((x ^ (x >> 31)) >> 11) & mask
+    return list(map(_2_POW_MINUS_53.__mul__, lanes.unpack(x.to_bytes(lanes.nbytes, "little"))))
+
+
+class _Stream:
+    """One counter-indexed random stream: draw k is splitmix64(base+k).
+
+    Draws are computed a block at a time: ``_block`` holds draws
+    ``_start .. _end - 1``.  The counter only moves forward.
+    """
+
+    __slots__ = ("base", "counter", "_start", "_end", "_block", "_size")
 
     def __init__(self, base: int) -> None:
         self.base = base
         self.counter = 0
+        self._start = self._end = 0
+        self._block: List[float] = []
+        self._size = _BLOCK_MIN
 
-    def next_u64(self) -> int:
-        value = _splitmix64((self.base + self.counter * _GOLDEN) & _MASK64)
-        self.counter += 1
-        return value
+    def _refill(self, need: int) -> None:
+        """Compute a block of at least ``need`` draws from the counter on."""
+        size = self._size
+        if size < _BLOCK_MAX:
+            self._size = size * 2
+        size = max(size, 1 << (need - 1).bit_length())
+        self._start = self.counter
+        self._end = self.counter + size
+        self._block = _draw_block(self.base, self.counter, size)
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 bits of the draw."""
-        return (self.next_u64() >> 11) / _2_POW_53
+        counter = self.counter
+        if counter >= self._end:
+            self._refill(1)
+        self.counter = counter + 1
+        return self._block[counter - self._start]
 
     def peek_floats(self, n: int) -> List[float]:
-        """The next ``n`` :meth:`next_float` values, without consuming them.
-
-        Draw k depends only on ``base`` and ``counter + k``, so a block
-        can be drawn ahead.  The loop is :func:`_splitmix64` inlined
-        over successive counters, on the same integers with the same
-        masks, and ``(x >> 11) / 2**53`` is exact in float64, so
-        element k is bit-identical to the k-th sequential draw.
-        """
-        # Local names: the loop body runs once per draw.
-        golden, mask, mix1, mix2, scale = _GOLDEN, _MASK64, _MIX1, _MIX2, _2_POW_53
-        x = (self.base + self.counter * golden) & mask
-        floats: List[float] = []
-        append = floats.append
-        for _ in range(n):
-            x = (x + golden) & mask
-            z = ((x ^ (x >> 30)) * mix1) & mask
-            z = ((z ^ (z >> 27)) * mix2) & mask
-            append(((z ^ (z >> 31)) >> 11) / scale)
-        return floats
+        """The next ``n`` :meth:`next_float` values, without consuming them."""
+        if self.counter + n > self._end:
+            self._refill(n)
+        k = self.counter - self._start
+        return self._block[k : k + n]
 
 
 # ======================================================================
@@ -391,6 +458,25 @@ def noise_profile(
     )
 
 
+class _Noise:
+    """One latency family bound to one stream: the terms each call draws.
+
+    ``spike_prob`` is 0 unless both ``spike_prob`` and ``spike_ns`` are
+    set, so a spike is drawn only then; ``tick`` is the timer
+    granularity (0 for none).
+    """
+
+    __slots__ = ("stream", "jitter_ns", "spike_prob", "spike_ns", "tick")
+
+    def __init__(self, stream: _Stream, latency: LatencyNoise) -> None:
+        self.stream = stream
+        self.jitter_ns = latency.jitter_ns
+        spikes = bool(latency.spike_prob and latency.spike_ns)
+        self.spike_prob = latency.spike_prob if spikes else 0.0
+        self.spike_ns = latency.spike_ns
+        self.tick = latency.granularity_ns
+
+
 # ======================================================================
 # The injector
 # ======================================================================
@@ -412,6 +498,11 @@ class FaultInjector:
     def __init__(self, config: Optional[InjectionConfig] = None) -> None:
         self.config = config or InjectionConfig()
         self._streams: Dict[Tuple[str, str], _Stream] = {}
+        # Bound on first use: (domain, kind) -> _Noise, or None for a
+        # family that draws nothing; fault streams by syscall name.
+        self._noise: Dict[Tuple[str, str], Optional[_Noise]] = {}
+        self._fault_streams: Dict[str, _Stream] = {}
+        self._wake_stream: Optional[_Stream] = None
         self._saved: Dict[str, Handler] = {}
         self._kernel: Optional[Any] = None
         self._consecutive: Dict[str, int] = {}
@@ -504,7 +595,9 @@ class FaultInjector:
     def _draw_fault(self, name: str) -> bool:
         faults = self.config.faults
         assert faults is not None
-        stream = self._stream("fault", name)
+        stream = self._fault_streams.get(name)
+        if stream is None:
+            stream = self._fault_streams[name] = self._stream("fault", name)
         if stream.next_float() >= faults.fail_prob:
             self._consecutive[name] = 0
             return False
@@ -520,7 +613,7 @@ class FaultInjector:
         faults = self.config.faults
         assert faults is not None
         self.faults_injected += 1
-        index = self._stream("fault", name).counter
+        index = self._fault_streams[name].counter
         self.schedule.append(("fault", name, index, 1))
         obs = self._obs
         if obs is not None:
@@ -560,30 +653,26 @@ class FaultInjector:
         read the times, decide how many probes it keeps, and commit
         only those.
         """
-        latency = self._latency_for(kind)
-        if latency is None:
+        noise = self._bound("probe", kind)
+        if noise is None:
             return None
-        stream = self._stream("probe", kind)
-        jitter = bool(latency.jitter_ns)
-        spikes = bool(latency.spike_prob and latency.spike_ns)
-        per_call = jitter + spikes
+        stream = noise.stream
+        jitter_ns, spike_prob, spike_ns = noise.jitter_ns, noise.spike_prob, noise.spike_ns
+        per_call = bool(jitter_ns) + bool(spike_prob)
         draws = stream.peek_floats(per_call * n)
-        if jitter:
-            jitter_ns = latency.jitter_ns
+        if jitter_ns:
             times = [elapsed_ns + int(draw * jitter_ns) for draw in draws[0::per_call]]
         else:
             times = [elapsed_ns] * n
         spike_calls: List[int] = []
-        spike_ns = latency.spike_ns
-        if spikes:
-            spike_prob = latency.spike_prob
+        if spike_prob:
             spike_calls = [
                 i for i, draw in enumerate(draws[per_call - 1 :: per_call]) if draw < spike_prob
             ]
             for i in spike_calls:
                 times[i] += spike_ns
-        if latency.granularity_ns:
-            tick = latency.granularity_ns
+        tick = noise.tick
+        if tick:
             times = [-(-total // tick) * tick for total in times]
         first = stream.counter
 
@@ -598,14 +687,21 @@ class FaultInjector:
 
         return times, commit
 
-    def _latency_for(self, kind: str) -> Optional[LatencyNoise]:
-        """The noise a ``kind`` observation draws; ``None`` when inactive."""
+    def _bound(self, domain: str, kind: str) -> Optional[_Noise]:
+        """The noise a ``(domain, kind)`` observation draws, bound on first
+        use; ``None`` when its family is inactive (no stream is made)."""
+        try:
+            return self._noise[domain, kind]
+        except KeyError:
+            pass
         latency = self.config.latency
         if kind == "touch" and self.config.touch_latency is not None:
             latency = self.config.touch_latency
-        if latency is None or not latency.active:
-            return None
-        return latency
+        noise = None
+        if latency is not None and latency.active:
+            noise = _Noise(self._stream(domain, kind), latency)
+        self._noise[domain, kind] = noise
+        return noise
 
     def _note_spike(self, kind: str, index: int, spike_ns: int) -> None:
         self.spikes_injected += 1
@@ -616,20 +712,18 @@ class FaultInjector:
             obs.count(f"inject.spike.{kind}")
 
     def _noisy_ns(self, domain: str, kind: str, elapsed_ns: int) -> int:
-        latency = self._latency_for(kind)
-        if latency is None:
+        noise = self._bound(domain, kind)
+        if noise is None:
             return elapsed_ns
-        stream = self._stream(domain, kind)
-        extra = 0
-        if latency.jitter_ns:
-            extra += int(stream.next_float() * latency.jitter_ns)
-        if latency.spike_prob and latency.spike_ns:
-            if stream.next_float() < latency.spike_prob:
-                extra += latency.spike_ns
-                self._note_spike(kind, stream.counter, latency.spike_ns)
-        total = elapsed_ns + extra
-        if latency.granularity_ns:
-            tick = latency.granularity_ns
+        stream = noise.stream
+        total = elapsed_ns
+        if noise.jitter_ns:
+            total += int(stream.next_float() * noise.jitter_ns)
+        if noise.spike_prob and stream.next_float() < noise.spike_prob:
+            total += noise.spike_ns
+            self._note_spike(kind, stream.counter, noise.spike_ns)
+        tick = noise.tick
+        if tick:
             total = -(-total // tick) * tick
         self.jitter_total_ns += total - elapsed_ns
         return total
@@ -638,7 +732,10 @@ class FaultInjector:
     # Scheduler interference
     # ------------------------------------------------------------------
     def _wake_delay(self, pid: int, at: int) -> int:
-        delay = int(self._stream("sched", "wake").next_float() * self.config.sched_jitter_ns)
+        stream = self._wake_stream
+        if stream is None:
+            stream = self._wake_stream = self._stream("sched", "wake")
+        delay = int(stream.next_float() * self.config.sched_jitter_ns)
         if delay:
             self.jitter_total_ns += delay
         return delay

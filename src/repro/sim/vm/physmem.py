@@ -17,6 +17,7 @@ charges the faulting process.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -82,6 +83,10 @@ class MemoryManager:
         # when obs is enabled and a process is current; what lets a
         # reclaim event name its victims, not just its instigator.
         self._page_owner: Dict[PageKey, int] = {}
+        # One shared string per pid: ``kernel.reclaim`` events key
+        # ``victims_by_pid`` by pid strings, so a record has string keys
+        # only and one JSON encode is its canonical form.
+        self._pid_labels: Dict[int, str] = {}
 
         plan = platform.make_pools(config)
         self._file_pool: CachePolicy = plan.file_pool
@@ -236,6 +241,9 @@ class MemoryManager:
                 victims_by_pid,
                 key=lambda p: (-victims_by_pid[p], p),
             )
+            labels = self._pid_labels
+            for pid in victims_by_pid.keys() - labels.keys():
+                labels[pid] = str(pid)
             self.obs.event(
                 "kernel.reclaim",
                 pages=len(victims),
@@ -245,7 +253,9 @@ class MemoryManager:
                 meta=meta,
                 instigator_pid=instigator if instigator is not None else 0,
                 victim_pid=victim,
-                victims_by_pid=victims_by_pid,
+                victims_by_pid={
+                    labels[pid]: count for pid, count in victims_by_pid.items()
+                },
             )
         return victims
 
@@ -444,19 +454,22 @@ class MemoryManager:
 
         Returns their indexes in ascending order; the caller writes them
         back.  Visits only the file's dirty pages, via the per-file index.
+        Dirty pages are resident, so their cells come from the residency
+        mirror and the pool clears them in one
+        :meth:`CachePolicy.clean_cells`, with no key built.
         """
         file_id = (fs_id, ino)
         dirty = self._dirty_by_file.get(file_id)
         if dirty is None:
             return []
-        indexes = sorted(index for index in dirty if index < npages)
+        indexes = sorted(dirty)
+        if indexes and indexes[-1] >= npages:
+            del indexes[bisect_left(indexes, npages):]
         if len(indexes) == len(dirty):
             del self._dirty_by_file[file_id]
         else:
             dirty.difference_update(indexes)
-        mark_clean = self._file_pool.mark_clean
-        for index in indexes:
-            mark_clean(FileKey(fs_id, ino, index))
+        self._file_pool.clean_cells(self._file_index.cells_at(file_id, indexes))
         self._dirty_file_pages -= len(indexes)
         return indexes
 

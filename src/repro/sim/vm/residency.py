@@ -149,6 +149,10 @@ class ResidencyIndex:
         cells = slab.cells
         return [cells[i] for i in indexes]
 
+    def cells_at(self, owner: Hashable, indexes: List[int]) -> List[Any]:
+        """Cells at ``indexes``, pages the caller knows are resident."""
+        return list(map(self._owners[owner].cells.__getitem__, indexes))
+
     def span(
         self, owner: Hashable, start: int, stop: int
     ) -> Tuple[int, Optional[List[Any]]]:

@@ -71,6 +71,15 @@ def any_platform_kernel(request, config) -> Kernel:
     return Kernel(config, platform=platform)
 
 
+def all_groups(fs):
+    """Every cylinder group of ``fs``, in index order, through ``fs.group``.
+
+    A lazy iterator: it builds the groups the file system has not built
+    yet, and no list of them.
+    """
+    return map(fs.group, range(fs.ngroups))
+
+
 def run(kernel: Kernel, gen, name: str = "test"):
     """Run one generator process to completion and return its result."""
     return kernel.run_process(gen, name)

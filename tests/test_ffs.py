@@ -45,8 +45,8 @@ class TestLayout:
 
     def test_groups_cover_disk(self):
         fs = make_fs(total_blocks=8192, blocks_per_cg=1024)
-        assert len(fs.groups) == 8
-        assert fs.groups[3].first_block == 3 * 1024
+        assert fs.ngroups == 8
+        assert fs.group(3).first_block == 3 * 1024
 
     def test_inode_table_block_within_group(self):
         fs = make_fs()
@@ -91,8 +91,8 @@ class TestInodeAllocation:
     def test_freeing_never_allocated_slot_rejected(self):
         fs = make_fs()
         with pytest.raises(InvalidArgument):
-            fs.groups[1].free_inode_slot(0)
-        cg0 = fs.groups[0]
+            fs.group(1).free_inode_slot(0)
+        cg0 = fs.group(0)
         # Slots 0 (reserved) and 1 (root) are taken; 2 was never issued.
         with pytest.raises(InvalidArgument):
             cg0.free_inode_slot(2)
@@ -106,10 +106,10 @@ class TestInodeAllocation:
         victim = create_file(fs, "b", BLOCK).ino
         create_file(fs, "c", BLOCK)
         fs.unlink(ROOT_INO, "b", now_ns=0)
-        free_before = fs.groups[0].free_inode_count
+        free_before = fs.group(0).free_inode_count
         with pytest.raises(InvalidArgument):
-            fs.groups[0].free_inode_slot(victim)
-        assert fs.groups[0].free_inode_count == free_before
+            fs.group(0).free_inode_slot(victim)
+        assert fs.group(0).free_inode_count == free_before
         assert create_file(fs, "d", BLOCK).ino == victim
 
     def test_group_runs_out_then_spills(self):
@@ -117,8 +117,8 @@ class TestInodeAllocation:
         inos = [create_file(fs, f"f{i}", 0).ino for i in range(5)]
         # cg0 holds reserved 0, root 1, then 2 and 3; the fifth spills.
         assert inos == [2, 3, 4, 5, 6]
-        assert fs.groups[0].alloc_inode_slot() is None
-        assert fs.groups[0].free_inode_count == 0
+        assert fs.group(0).alloc_inode_slot() is None
+        assert fs.group(0).free_inode_count == 0
 
     def test_kernel_build_allocates_no_per_slot_structures(self):
         """A default kernel mounts ~2 M inode slots; none may be materialised.
@@ -160,7 +160,7 @@ class TestBlockAllocation:
 
     def test_alloc_spills_to_next_group_when_full(self):
         fs = make_fs(total_blocks=2048, blocks_per_cg=1024, inodes_per_cg=64)
-        cg0_data = fs.groups[0].data_blocks
+        cg0_data = fs.group(0).data_blocks
         inode = create_file(fs, "huge", (cg0_data + 10) * BLOCK)
         used_cgs = {fs.cg_of_block(b).index for b in inode.blocks}
         assert used_cgs == {0, 1}
@@ -168,7 +168,7 @@ class TestBlockAllocation:
     def test_out_of_space_raises(self):
         fs = make_fs(total_blocks=1024, blocks_per_cg=1024, inodes_per_cg=64)
         inode = create_file(fs, "too-big", 0)
-        cg0 = fs.groups[0]
+        cg0 = fs.group(0)
         before = (fs.free_blocks_total(), cg0.rotor, bytes(cg0._bitmap))
         with pytest.raises(NoSpace):
             fs.grow_to_size(inode, fs.free_blocks_total() * BLOCK + BLOCK)
@@ -190,7 +190,7 @@ class TestBlockAllocation:
         block = inode.blocks[0]
         fs.unlink(ROOT_INO, "f", now_ns=0)
         with pytest.raises(InvalidArgument):
-            fs.groups[0].free_block(block)
+            fs.group(0).free_block(block)
 
     def test_alloc_gap_spaces_files_apart(self):
         tight = make_fs()

@@ -3,12 +3,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.errors import NoSpace, SimOSError
+from repro.sim.errors import DirectoryNotEmpty, FileExists, NoSpace, SimOSError
 from repro.sim.fs.ffs import FFS, ROOT_INO
 from repro.sim.fs.inode import FileKind
 from repro.sim.fs.lfs import LogStructuredFS
+from tests.conftest import all_groups
 
 BLOCK = 4096
 
@@ -83,9 +84,9 @@ def test_no_two_files_share_a_block(ops):
 def test_free_counts_match_bitmaps(ops):
     fs = fresh_fs()
     apply_ops(fs, ops)
-    for cg in fs.groups:
+    for cg in all_groups(fs):
         assert cg.free_block_count == cg._bitmap.count(0)
-    assert fs.free_blocks_total() == sum(cg.free_block_count for cg in fs.groups)
+    assert fs.free_blocks_total() == sum(cg.free_block_count for cg in all_groups(fs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,7 +95,7 @@ def test_used_blocks_equal_inode_maps(ops):
     fs = fresh_fs()
     apply_ops(fs, ops)
     mapped = sum(len(inode.blocks) for inode in fs.inodes.values())
-    used = sum(cg.data_blocks - cg.free_block_count for cg in fs.groups)
+    used = sum(cg.data_blocks - cg.free_block_count for cg in all_groups(fs))
     assert used == mapped
 
 
@@ -129,7 +130,7 @@ def test_lfs_satisfies_the_same_invariants(ops):
             assert block not in seen
             seen.add(block)
     assert set(fs.root.names()) == set(live)
-    assert fs.free_blocks_total() == sum(cg._bitmap.count(0) for cg in fs.groups)
+    assert fs.free_blocks_total() == sum(cg._bitmap.count(0) for cg in all_groups(fs))
 
 
 namespace_ops = st.lists(
@@ -152,11 +153,11 @@ def lowest_free_slot(fs: FFS, cg_index: int):
 
 
 def check_allocator_state(fs: FFS):
-    for cg in fs.groups:
+    for cg in all_groups(fs):
         live = sum(1 for ino in fs.inodes if ino // fs.inodes_per_cg == cg.index)
         reserved = 1 if cg.index == 0 else 0
         assert cg.free_inode_count == fs.inodes_per_cg - live - reserved, cg.index
-    assert fs.free_blocks_total() == sum(cg.free_block_count for cg in fs.groups)
+    assert fs.free_blocks_total() == sum(cg.free_block_count for cg in all_groups(fs))
 
 
 def apply_namespace_ops(fs: FFS, ops):
@@ -170,14 +171,14 @@ def apply_namespace_ops(fs: FFS, ops):
                 if fs.directories[parent].contains(name):
                     continue
                 kind = FileKind.DIRECTORY if op == "dir" else FileKind.FILE
-                expected = {cg.index: lowest_free_slot(fs, cg.index) for cg in fs.groups}
+                expected = {i: lowest_free_slot(fs, i) for i in range(fs.ngroups)}
                 inode = fs.create(parent, name, kind, now_ns=0)
                 cg_index, slot = divmod(inode.ino, fs.inodes_per_cg)
                 assert inode.ino != 0
                 assert slot == expected[cg_index], (inode.ino, expected)
                 if kind is FileKind.FILE:
                     # Files stay in the parent's group until it has no slot left.
-                    n = len(fs.groups)
+                    n = fs.ngroups
                     home = parent // fs.inodes_per_cg
                     first_open = next(
                         (home + k) % n for k in range(n)
@@ -233,3 +234,116 @@ def test_file_sizes_covered_by_block_maps(ops):
     for inode in fs.inodes.values():
         need = -(-inode.size // BLOCK)
         assert len(inode.blocks) >= need
+
+
+# ---------------------------------------------------------------------------
+# Cylinder groups built on first use == every group built up front
+# ---------------------------------------------------------------------------
+twin_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["mkdir", "mkdir", "create", "create", "grow", "unlink", "rmdir"]),
+        st.integers(min_value=0, max_value=31),   # parent / victim pick
+        st.integers(min_value=0, max_value=5),    # name index
+        st.integers(min_value=0, max_value=40),   # size in blocks
+    ),
+    max_size=60,
+)
+
+
+def twin_fs(cls, eager: bool, ngroups: int = 12) -> FFS:
+    """Groups of 31 data blocks and 8 inodes, so files spill across
+    groups and the disk can fill; ``eager`` builds every group now.
+    With 3 groups every group is soon built, so placement falls among
+    built groups alone."""
+    fs = cls(fs_id=0, total_blocks=ngroups * 32, block_bytes=BLOCK,
+             blocks_per_cg=32, inodes_per_cg=8)
+    if eager:
+        for index in range(fs.ngroups):
+            fs.group(index)
+    return fs
+
+
+def drive_twin(fs: FFS, ops):
+    """Apply ``ops``; log every placement answer, inode number, block
+    list, free-block total and error."""
+    log = []
+    for op, pick, name_index, nblocks in ops:
+        log.append(("place", fs.pick_cg_for_directory()))
+        try:
+            if op in ("mkdir", "create"):
+                dirs = sorted(fs.directories)
+                kind = FileKind.DIRECTORY if op == "mkdir" else FileKind.FILE
+                inode = fs.create(dirs[pick % len(dirs)], f"{op}{name_index}", kind, now_ns=0)
+                if op == "create":
+                    fs.grow_to_size(inode, nblocks * BLOCK)
+                log.append((op, inode.ino, list(inode.blocks)))
+            elif op == "grow":
+                files = sorted(ino for ino, inode in fs.inodes.items() if not inode.is_dir)
+                if files:
+                    inode = fs.inodes[files[pick % len(files)]]
+                    added = fs.grow_to_size(inode, (len(inode.blocks) + nblocks) * BLOCK)
+                    log.append((op, inode.ino, added))
+            else:
+                # Linked entries only: a create that hit NoSpace may
+                # leave an inode no directory names.
+                is_dir = op == "rmdir"
+                victims = sorted(
+                    (directory.lookup(name), parent, name)
+                    for parent, directory in fs.directories.items()
+                    for name in directory.names()
+                    if fs.inodes[directory.lookup(name)].is_dir == is_dir
+                )
+                if victims:
+                    ino, parent, name = victims[pick % len(victims)]
+                    remove = fs.rmdir if is_dir else fs.unlink
+                    log.append((op, ino, remove(parent, name, now_ns=0)[1]))
+        except (FileExists, DirectoryNotEmpty, NoSpace) as exc:
+            log.append((op, type(exc).__name__))
+        log.append(("free", fs.free_blocks_total()))
+    return log
+
+
+#: mkdir, mkdir, then rmdir of the first: group 1 is touched, below the
+#: first untouched group (3), and back to full — it must win the next
+#: placement.
+_GROUP_BACK_TO_FULL = [
+    ("mkdir", 0, 0, 0), ("mkdir", 0, 1, 0), ("rmdir", 0, 0, 0), ("mkdir", 0, 2, 0),
+]
+
+
+#: Every group built; an empty file's unlink (an inode freed, no block)
+#: puts group 1 back at a key whose heap entry a placement already
+#: dropped as stale, and ties it with group 2: group 1 must win.
+_INODE_FREE_RESTORES_TOP = [
+    ("mkdir", 0, 0, 0), ("mkdir", 0, 1, 0), ("create", 1, 0, 0), ("unlink", 0, 0, 0),
+    ("mkdir", 0, 2, 0),
+]
+
+
+@pytest.mark.parametrize("cls", [FFS, LogStructuredFS])
+@settings(max_examples=60, deadline=None)
+@given(ops=twin_ops, ngroups=st.sampled_from([3, 12]))
+@example(ops=_GROUP_BACK_TO_FULL, ngroups=12)
+@example(ops=_INODE_FREE_RESTORES_TOP, ngroups=3)
+def test_groups_built_on_first_use_match_groups_built_up_front(cls, ops, ngroups):
+    """A file system that builds each cylinder group when something
+    reaches it allocates exactly as one with every group built: same
+    placements, inode numbers, block lists, free totals and NoSpace."""
+    lazy = twin_fs(cls, eager=False, ngroups=ngroups)
+    eager = twin_fs(cls, eager=True, ngroups=ngroups)
+    assert drive_twin(lazy, ops) == drive_twin(eager, ops)
+    for ours, theirs in zip(all_groups(lazy), all_groups(eager)):
+        assert (ours.free_block_count, ours.free_inode_count, ours.rotor,
+                bytes(ours._bitmap)) == (theirs.free_block_count, theirs.free_inode_count,
+                                         theirs.rotor, bytes(theirs._bitmap))
+
+
+def test_touched_group_back_to_full_wins_placement():
+    fs = twin_fs(FFS, eager=False)
+    first = fs.create(ROOT_INO, "a", FileKind.DIRECTORY, now_ns=0)
+    fs.create(ROOT_INO, "b", FileKind.DIRECTORY, now_ns=0)
+    assert fs.cg_of_inode(first.ino).index == 1
+    fs.rmdir(ROOT_INO, "a", now_ns=0)
+    built = [index for index in range(fs.ngroups) if fs._groups[index] is not None]
+    assert built == [0, 1, 2]
+    assert fs.pick_cg_for_directory() == 1

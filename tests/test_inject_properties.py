@@ -29,7 +29,7 @@ from repro.sim import (
     MILLIS,
     TransientFaults,
 )
-from repro.sim.inject import horizon_after
+from repro.sim.inject import _GOLDEN, _MASK64, _splitmix64, horizon_after
 from tests.conftest import small_config
 from tests.test_kernel_fuzz import chaos_process, probe_process, state_digest
 
@@ -175,6 +175,7 @@ def test_block_draws_equal_sequential_draws(
     peeked = reference.peek_floats(n)
     assert reference.counter == warmup
     assert peeked == [reference.next_float() for _ in range(n)]
+    assert peeked == _sequential_draws(reference.base, warmup, n)
 
     ours, twin = FaultInjector(config), FaultInjector(config)
     our_kernel, twin_kernel = Kernel(small_config()), Kernel(small_config())
@@ -203,6 +204,62 @@ def test_block_draws_equal_sequential_draws(
     assert _spike_counters(our_kernel) == _spike_counters(twin_kernel)
     expected += [twin.probe_elapsed(kind, elapsed_ns) for _ in range(n - k)]
     assert times == expected
+
+
+def _sequential_draws(base, start, n):
+    """Draws ``start .. start+n-1`` one ``_splitmix64`` call each: the
+    per-draw loop the packed-lane blocks replaced, kept as their reference."""
+    return [
+        (_splitmix64((base + k * _GOLDEN) & _MASK64) >> 11) / float(1 << 53)
+        for k in range(start, start + n)
+    ]
+
+
+def test_packed_blocks_equal_sequential_splitmix64():
+    """For every peek size from 1 to 600 (a fresh stream's first refill,
+    and the 512-draw chunks past it) and across refill growth (8, 16,
+    ... 512 draws), the blocks equal the sequential draws."""
+    base = FaultInjector(InjectionConfig(seed=11))._stream("probe", "pread").base
+    reference = _sequential_draws(base, 0, 1300)
+    for n in range(1, 601):
+        stream = FaultInjector(InjectionConfig(seed=11))._stream("probe", "pread")
+        assert stream.peek_floats(n) == reference[:n], n
+        stream.counter = n
+        assert stream.peek_floats(n) == reference[n : 2 * n], n
+    stream = FaultInjector(InjectionConfig(seed=11))._stream("probe", "pread")
+    assert [stream.next_float() for _ in range(1300)] == reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["next", "peek", "commit"]),
+            st.integers(min_value=0, max_value=600),
+            st.integers(min_value=0, max_value=600),
+        ),
+        max_size=40,
+    ),
+)
+def test_interleaved_draws_equal_sequential_splitmix64(seed, ops):
+    """``next_float``, ``peek_floats`` and a probe block's ``commit(k)``
+    (peek ``n``, then move the counter ``k <= n`` on) interleaved in any
+    order read exactly the sequential draws at the stream's counter."""
+    stream = FaultInjector(InjectionConfig(seed=seed))._stream("probe", "touch")
+    counter = 0
+    for op, n, k in ops:
+        if op == "next":
+            for _ in range(n % 16 + 1):
+                assert stream.next_float() == _sequential_draws(stream.base, counter, 1)[0]
+                counter += 1
+        elif op == "peek":
+            assert stream.peek_floats(n) == _sequential_draws(stream.base, counter, n)
+        else:
+            assert stream.peek_floats(n) == _sequential_draws(stream.base, counter, n)
+            counter += min(k, n)
+            stream.counter = counter
+        assert stream.counter == counter
 
 
 @pytest.mark.parametrize("field", ["jitter_ns", "spike_ns", "granularity_ns"])

@@ -34,7 +34,7 @@ from repro.sim.config import linux22, netbsd15, solaris7
 from repro.sim.errors import OutOfMemory, SimOSError
 from repro.sim.inject import horizon_after
 from repro.sim.vm.physmem import MemoryManager
-from tests.conftest import KIB, MIB, small_config
+from tests.conftest import KIB, MIB, all_groups, small_config
 
 
 def chaos_process(seed: int, steps: int):
@@ -104,7 +104,7 @@ def test_chaos_processes_preserve_invariants(seeds, steps):
     # Filesystem bitmaps agree with inode block maps.
     for fs in kernel._fs_by_id.values():
         mapped = sum(len(inode.blocks) for inode in fs.inodes.values())
-        used = sum(cg.data_blocks - cg.free_block_count for cg in fs.groups)
+        used = sum(cg.data_blocks - cg.free_block_count for cg in all_groups(fs))
         assert used == mapped
     assert_dirty_index_matches_pool(mm)
     assert_residency_matches_pool(mm)
@@ -150,7 +150,7 @@ def state_digest(kernel: Kernel) -> str:
                 f":{inode.mtime}:{tuple(inode.blocks)}"
             )
         parts.append(
-            f"fs{fs_id}/free:{tuple(cg.free_block_count for cg in fs.groups)}"
+            f"fs{fs_id}/free:{tuple(cg.free_block_count for cg in all_groups(fs))}"
         )
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
@@ -892,6 +892,51 @@ def test_policy_flush_equals_scan_and_fold(ops, count):
             folded.demote(key)
         assert _policy_dump(flushed) == _policy_dump(folded), name
         assert flushed.pop_victims(len(flushed)) == folded.pop_victims(len(folded)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(("touch", "touch", "touch", "demote", "remove", "pop")),
+            st.integers(min_value=0, max_value=40),
+            st.booleans(),
+        ),
+        max_size=60,
+    ),
+    picks=st.lists(st.integers(min_value=0, max_value=60), max_size=20),
+)
+def test_clean_cells_equals_mark_clean_fold(ops, picks):
+    """``clean_cells(cells_of(keys))`` == a ``mark_clean`` per key.
+
+    Twin policies see one warm-up stream of clean and dirty file, meta
+    and anon touches, demotions, removals and victim pops.  One twin
+    clears a pick of its resident pages (dirty or not, repeats allowed)
+    through their cells; the other folds ``mark_clean`` over the keys.
+    The full policy state and later victim order must agree.
+    """
+    for cleaned, folded in zip(_fresh_policies(), _fresh_policies()):
+        name = type(cleaned).__name__
+        for policy in (cleaned, folded):
+            for op, i, dirty in ops:
+                key = _page_key(i)
+                if op == "touch":
+                    policy.touch(key, dirty)
+                elif op == "demote":
+                    policy.demote(key)
+                elif op == "remove":
+                    policy.remove(key)
+                else:
+                    policy.pop_victims(1 + i % 3)
+        resident = list(folded.keys())
+        keys = [resident[i % len(resident)] for i in picks] if resident else []
+        cells = cleaned.cells_of(keys)
+        assert cells is not None, name
+        cleaned.clean_cells(cells)
+        for key in keys:
+            folded.mark_clean(key)
+        assert _policy_dump(cleaned) == _policy_dump(folded), name
+        assert cleaned.pop_victims(len(cleaned)) == folded.pop_victims(len(folded)), name
 
 
 # ---------------------------------------------------------------------------

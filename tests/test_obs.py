@@ -654,3 +654,72 @@ class TestRunnerCapture:
         cached_names = {s["name"] for s in cached.metric_samples}
         assert "cache.file.misses" in fresh_names
         assert fresh_names == cached_names
+
+
+# ---------------------------------------------------------------------------
+# One encode per record: string keys only, and the digest it replaced
+# ---------------------------------------------------------------------------
+def _two_pass_digest(records):
+    """``stream_digest`` as it was: dump each record, load it back (which
+    turns int keys into strings), then dump it sorted.  Kept as the
+    reference the single encode must equal."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for record in records:
+        if record.get("type") not in ("event", "span", "pid_stats"):
+            continue
+        value = json.loads(json.dumps(record, default=str))
+        digest.update(json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _non_string_keys(value, where="record"):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                yield f"{where} key {key!r}"
+            yield from _non_string_keys(item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_string_keys(item, f"{where}[{i}]")
+
+
+@pytest.fixture(scope="module")
+def sample_streams():
+    """In-memory streams: an arena run that thrashes (reclaims with
+    ``victims_by_pid``), a noisy channel run, and each observe scenario."""
+    import repro.experiments.arena as arena_mod
+    import repro.experiments.channels as channels_mod
+    from repro.experiments.observe import SCENARIOS
+
+    captured = []
+
+    def capture(records):
+        records = list(records)
+        captured.append(records)
+        return stream_digest(records)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arena_mod, "stream_digest", capture)
+        patch.setattr(channels_mod, "stream_digest", capture)
+        arena_mod.run_arena(64)
+        channels_mod.run_channel("residency", n_bits=16, noise=0.5, n_background=2)
+    streams = {"arena-64": captured[0], "channel-residency": captured[1]}
+    for scenario in SCENARIOS:
+        streams[f"observe-{scenario}"] = observe_figure(scenario).records
+    return streams
+
+
+def test_every_record_has_string_keys_only(sample_streams):
+    for name, records in sample_streams.items():
+        bad = [where for record in records for where in _non_string_keys(record)]
+        assert not bad, f"{name}: {bad[:5]}"
+    reclaims = [r for r in sample_streams["arena-64"] if r.get("name") == "kernel.reclaim"]
+    assert reclaims and all(r["attrs"]["victims_by_pid"] for r in reclaims)
+
+
+def test_stream_digest_equals_two_pass_definition(sample_streams):
+    for name, records in sample_streams.items():
+        assert stream_digest(records) == _two_pass_digest(records), name
