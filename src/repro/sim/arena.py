@@ -227,9 +227,7 @@ class InterleavePolicy:
     name = "policy"
 
     def bind(self, names: Sequence[str], weights: Sequence[float], seed: int) -> None:
-        self._names = list(names)
         self._weights = list(weights)
-        self._seed = seed
 
     def key(self, index: int, turn: int) -> Tuple[Any, int]:
         raise NotImplementedError

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sim.cache.base import FileKey
 from repro.sim.clock import Clock
 from repro.sim.config import MachineConfig
 from repro.sim.disk import Disk
@@ -65,7 +64,7 @@ class FileIO:
         self.inject: Optional[Any] = None
         #: Gate for the all-cached pread_batch pre-pass;
         #: ``Kernel(batch_paths=False)`` turns it off so the differential
-        #: fuzzer can pin it against the scalar per-probe loop.
+        #: fuzzer can pin it against the per-probe ``pread_at`` loop.
         self.batch_paths: bool = True
 
     def register_syscalls(self, table: SyscallTable) -> None:
@@ -206,6 +205,10 @@ class FileIO:
         the same cache and disk state in the same order, so the timing
         channel the ICLs read is bit-for-bit identical to the sequential
         path — only the host-side dispatch cost is amortized.
+
+        Two tiers: the all-resident pre-pass below (on only with
+        ``batch_paths``), then :meth:`pread_at` per probe, which is
+        what a sequence of ``pread`` calls runs.
         """
         entry = process.lookup_fd(fd)
         if entry.kind != "file":
@@ -213,31 +216,6 @@ class FileIO:
         t0 = self.clock.now
         t = t0
         results: List[ProbeRead] = []
-        append = results.append
-        # No other process can run mid-batch, so the file identity, its
-        # size, and its stored contents are loop invariants; per-probe
-        # constants (overhead, copy cost per length) are hoisted too.
-        # The fast branch below covers the ICLs' bread and butter — a
-        # single-page probe hitting the cache — and reproduces the exact
-        # effects of ``pread_at`` for that case: one clean policy touch
-        # and ``overhead + page_copy`` of simulated time.  Everything
-        # else (miss, page-spanning, short or invalid reads) falls back
-        # to ``pread_at`` itself.
-        fs, _disk, inode = self.file_of(entry)
-        fs_id = fs.fs_id
-        ino = inode.ino
-        size = inode.size
-        stored = self.contents.get((fs_id, ino))
-        cfg = self.config
-        page = cfg.page_size
-        overhead = cfg.syscall_overhead_ns
-        touch_cached = self.mm.touch_file_cached
-        copy_ns: Dict[int, int] = {}
-        # ``pread_at`` stamps the inode atime per non-empty read with
-        # that probe's start time; only the last stamp survives, so the
-        # fast path defers it.  A fallback probe stamps internally
-        # (superseding anything pending), hence the reset.
-        pending_stamp: Optional[int] = None
         inject = self.inject
         # Batch pre-pass: when every probe is an in-bounds, single-page
         # read of one constant (clipped) length — the ICL shape — and
@@ -247,10 +225,14 @@ class FileIO:
         # walk stops at the first probe of another shape.  Everything
         # is *decided* before the pool is touched (the residency test
         # references the pages only when it passes, so it goes last),
-        # so a failed check falls through to the scalar loop with
-        # nothing mutated; the effects are exactly the scalar fast
-        # branch's, probe for probe.
+        # so a failed check falls through to the per-probe loop with
+        # nothing mutated; the effects are exactly those of one
+        # ``pread_at`` hit per probe.
         if self.batch_paths and inject is None and len(probes) >= 8:
+            fs, _disk, inode = self.file_of(entry)
+            size = inode.size
+            cfg = self.config
+            page = cfg.page_size
             offset, nbytes = probes[0]
             length = nbytes if offset + nbytes <= size else size - offset
             pages: List[int] = []
@@ -267,9 +249,10 @@ class FileIO:
                         continue
                 break
             else:
-                if self.mm.touch_file_pages_resident(fs_id, ino, pages):
-                    elapsed = overhead + cfg.page_copy_ns(length)
+                if self.mm.touch_file_pages_resident(fs.fs_id, inode.ino, pages):
+                    elapsed = cfg.syscall_overhead_ns + cfg.page_copy_ns(length)
                     total = elapsed * len(probes)
+                    stored = self.contents.get((fs.fs_id, inode.ino))
                     if stored is None:
                         # Without content, one shared immutable result.
                         results = [ProbeRead(length, elapsed)] * len(probes)
@@ -280,44 +263,17 @@ class FileIO:
                         ]
                     # Every probe is non-empty, so the last probe's
                     # start-time atime stamp survives, as in the
-                    # scalar loop.
+                    # per-probe loop.
                     inode.stamp(t0 + total - elapsed, access=True)
                     return results, total
+        append = results.append
         for offset, nbytes in probes:
-            if 0 <= offset < size and nbytes > 0:
-                end = offset + nbytes
-                effective = nbytes if end <= size else size - offset
-                first = offset // page
-                if (
-                    first == (offset + effective - 1) // page
-                    and touch_cached(FileKey(fs_id, ino, first))
-                ):
-                    copy = copy_ns.get(effective)
-                    if copy is None:
-                        copy = cfg.page_copy_ns(effective)
-                        copy_ns[effective] = copy
-                    elapsed = overhead + copy
-                    if inject is not None:
-                        elapsed = inject.probe_elapsed("pread", elapsed)
-                    data = (
-                        bytes(stored[offset : offset + effective])
-                        if stored is not None
-                        else None
-                    )
-                    append(ProbeRead(effective, elapsed, data))
-                    pending_stamp = t
-                    t += elapsed
-                    continue
             value, finish = self.pread_at(entry, offset, nbytes, t)
             elapsed = finish - t
             if inject is not None:
                 elapsed = inject.probe_elapsed("pread", elapsed)
             append(ProbeRead(value.nbytes, elapsed, value.data))
-            if value.nbytes > 0:
-                pending_stamp = None
             t += elapsed
-        if pending_stamp is not None:
-            inode.stamp(pending_stamp, access=True)
         return results, t - t0
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.sim.errors import FileExists, FileNotFound, InvalidArgument, NoSpace
-from repro.sim.fs.directory import Directory
+from repro.sim.fs.directory import DIRENT_BYTES, Directory
 from repro.sim.fs.inode import INODE_BYTES, FileKind, Inode
 
 ROOT_INO = 1
@@ -49,7 +49,6 @@ class CylinderGroup:
         self.index = index
         self.changed = changed
         self.first_block = first_block
-        self.nblocks = nblocks
         self.inodes_per_cg = inodes_per_cg
         self.itable_blocks = -(-inodes_per_cg * INODE_BYTES // block_bytes)
         if self.itable_blocks >= nblocks:
@@ -289,6 +288,17 @@ class FFS:
             self.cg_of_block(block).free_block(block)
             self._free_blocks += 1
 
+    def check_room(self, want: int) -> None:
+        """Raise NoSpace unless ``want`` more blocks can be allocated.
+
+        A namespace operation calls it with every block it will
+        allocate before its first change, so on a full disk it leaves
+        the file system exactly as it was.  Allocations that fit the
+        free total never fail.
+        """
+        if want > self._free_blocks:
+            raise NoSpace(f"fs{self.fs_id}: need {want} blocks, fewer free")
+
     def pick_cg_for_directory(self) -> int:
         """FFS heuristic: put a new directory in the emptiest group.
 
@@ -344,6 +354,11 @@ class FFS:
         self.directories[ino] = Directory(ino=ino, parent_ino=ino)
         self._grow_directory(ino)
 
+    def _dir_growth(self, ino: int, entries: int) -> int:
+        """Blocks directory ``ino`` must gain to hold ``entries`` more entries."""
+        nbytes = self.directories[ino].data_bytes() + entries * DIRENT_BYTES
+        return max(-(-nbytes // self.block_bytes) - len(self.inodes[ino].blocks), 0)
+
     def _grow_directory(self, ino: int) -> List[Tuple[int, int]]:
         """Ensure the directory's data blocks cover its entries."""
         inode = self.get_inode(ino)
@@ -381,10 +396,19 @@ class FFS:
         """
 
     def create(self, parent_ino: int, name: str, kind: FileKind, now_ns: int) -> Inode:
-        """Create a file or directory entry under ``parent_ino``."""
+        """Create a file or directory entry under ``parent_ino``.
+
+        Raises NoSpace, with nothing changed, when the disk cannot take
+        the parent's grown entry list and a new directory's own block.
+        """
         parent = self.get_directory(parent_ino)
         if parent.contains(name):
             raise FileExists(f"{name!r} already exists")
+        want = self._dir_growth(parent_ino, 1)
+        if kind is FileKind.DIRECTORY:
+            # A new directory holds '.' and '..'.
+            want += -(-2 * DIRENT_BYTES // self.block_bytes)
+        self.check_room(want)
         if kind is FileKind.DIRECTORY:
             cg_index = self.pick_cg_for_directory()
         else:
@@ -442,7 +466,11 @@ class FFS:
 
     def rename(self, old_parent: int, old_name: str, new_parent: int, new_name: str,
                now_ns: int) -> int:
-        """Move a directory entry; returns the moved ino."""
+        """Move a directory entry; returns the moved ino.
+
+        Raises NoSpace, with nothing changed, when the target directory
+        must grow and the disk cannot take it.
+        """
         src = self.get_directory(old_parent)
         dst = self.get_directory(new_parent)
         ino = src.lookup(old_name)
@@ -462,6 +490,7 @@ class FFS:
                 if ancestor == ROOT_INO:
                     break
                 ancestor = self.directories[ancestor].parent_ino
+        self.check_room(self._dir_growth(new_parent, 0 if old_parent == new_parent else 1))
         src.remove(old_name)
         dst.add(new_name, ino)
         moved = self.get_inode(ino)

@@ -41,6 +41,24 @@ class LogStructuredFS(FFS):
         self, want: int, preferred_cg: int, hint: Optional[int] = None
     ) -> List[int]:
         """Append ``want`` blocks at the log head, ignoring placement hints."""
+        blocks = self._log_run(want)
+        # Keep the group bitmaps consistent so free-space accounting and
+        # double-free checks still work.
+        for block in blocks:
+            cg = self.cg_of_block(block)
+            cg._bitmap[block - cg.data_first] = 1
+            cg.free_block_count -= 1
+            cg.changed.add(cg.index)
+        self._free_blocks -= len(blocks)
+        if blocks:
+            self._log_head = blocks[-1] + 1
+        return blocks
+
+    def _log_run(self, want: int) -> List[int]:
+        """The next ``want`` blocks from the log head, none taken yet.
+
+        Raises NoSpace when the log would run past the disk's end.
+        """
         if want <= 0:
             return []
         if self._log_head is None:
@@ -59,16 +77,15 @@ class LogStructuredFS(FFS):
                 continue
             blocks.append(head)
             head += 1
-        # Keep the group bitmaps consistent so free-space accounting and
-        # double-free checks still work.
-        for block in blocks:
-            cg = self.cg_of_block(block)
-            cg._bitmap[block - cg.data_first] = 1
-            cg.free_block_count -= 1
-            cg.changed.add(cg.index)
-        self._free_blocks -= len(blocks)
-        self._log_head = head
         return blocks
+
+    def check_room(self, want: int) -> None:
+        """Raise NoSpace unless the log can take ``want`` more blocks.
+
+        Freed blocks behind the head do not count: without a cleaner the
+        log never reuses them.
+        """
+        self._log_run(want)
 
     def free_block_list(self, blocks: List[int]) -> None:
         """Freed blocks become dead segments awaiting a (non-modelled) cleaner."""

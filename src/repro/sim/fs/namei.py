@@ -293,11 +293,7 @@ class NameLayer:
             sepoch = self.stat_epoch
             if entry.stat_epoch == sepoch:
                 return entry.stat_cached, duration
-            inode = entry.inode
-            stat = StatResult(
-                inode.ino, inode.fs_id, inode.kind, inode.size,
-                inode.nlink, inode.atime, inode.mtime, inode.ctime,
-            )
+            stat = StatResult.from_inode(entry.inode)
             entry.stat_cached = stat
             entry.stat_epoch = sepoch
             return stat, duration
@@ -322,6 +318,8 @@ class NameLayer:
         time, hit accounting, and recency effects to the slow walk it
         skips, so the noise stream and the golden traces cannot tell
         the two apart — and falls back to the memoizing walk otherwise.
+        Without a name cache no path is found, so every path takes
+        ``resolve_memo``, which then is ``resolve``.
         """
         t0 = self.clock.now
         t = t0
@@ -330,17 +328,6 @@ class NameLayer:
         inject = self.inject
         overhead = self.config.syscall_overhead_ns
         cache = self.dcache
-        if cache is None:
-            for path in paths:
-                start = t
-                t += overhead
-                fs, disk, inode, t = self.resolve(process, path, t)
-                elapsed = t - start
-                if inject is not None:
-                    elapsed = inject.probe_elapsed("stat", elapsed)
-                    t = start + elapsed
-                append(ProbeStat(StatResult.from_inode(inode), elapsed))
-            return results, t - t0
         # The fast loop is ``walk_fast`` and ``NameCache.lookup``
         # unrolled with everything bound locally: at full batch
         # throughput the per-probe budget is about a microsecond, so
@@ -353,8 +340,9 @@ class NameLayer:
         mm = self.mm
         cells_of = mm.file_cells_of
         reference = mm.reference_file_cells
-        entries, entries_get, gen_get = cache.hot_view()
-        stat_result = StatResult
+        entries, entries_get, gen_get = (
+            cache.hot_view() if cache is not None else ({}, {}.get, None)
+        )
         probe_stat = ProbeStat
         epoch = mm.file_epoch
         # ``stat_batch`` is itself stat-preserving, so the stat epoch
@@ -385,11 +373,7 @@ class NameLayer:
                 if entry.stat_epoch == sepoch:
                     stat = entry.stat_cached
                 else:
-                    inode = entry.inode
-                    stat = stat_result(
-                        inode.ino, inode.fs_id, inode.kind, inode.size,
-                        inode.nlink, inode.atime, inode.mtime, inode.ctime,
-                    )
+                    stat = StatResult.from_inode(entry.inode)
                     entry.stat_cached = stat
                     entry.stat_epoch = sepoch
                 append(probe_stat(stat, elapsed))
@@ -404,9 +388,10 @@ class NameLayer:
                 elapsed = inject.probe_elapsed("stat", elapsed)
                 t = start + elapsed
             append(ProbeStat(StatResult.from_inode(inode), elapsed))
-        cache.hits += hits
-        cache.misses += len(paths) - hits
-        cache.stale += stale
+        if cache is not None:
+            cache.hits += hits
+            cache.misses += len(paths) - hits
+            cache.stale += stale
         return results, t - t0
 
     def sys_mkdir(self, process: Process, path: str):

@@ -92,18 +92,6 @@ PROBE_SYSCALLS = frozenset(
     }
 )
 
-#: The batch/sequential syscall families map onto three probe streams.
-_PROBE_KIND = {
-    "pread": "pread",
-    "pread_batch": "pread",
-    "stat": "stat",
-    "stat_batch": "stat",
-    "utimes": "stat",
-    "touch": "touch",
-    "touch_range": "touch",
-    "touch_batch": "touch",
-}
-
 #: Idempotent, retry-safe syscalls eligible for transient faults by
 #: default.  Mutating calls (write/create/unlink/...) are excluded so a
 #: retry never duplicates a side effect.

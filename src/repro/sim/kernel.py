@@ -164,11 +164,11 @@ class Kernel:
         )
         self.vm = VMLayer(cfg, self.clock, self.mm, self.swap_disk, self.page_cache)
         # ``batch_paths=False`` builds the scalar compatibility kernel:
-        # every vectorized fast path stands down and the per-page loops
-        # run instead.  The differential fuzzer runs twin kernels in both
-        # modes and requires bit-identical traces, obs records, and
-        # schedules (simulated behaviour must not depend on the mode).
-        self.batch_paths = batch_paths
+        # every batch tier stands down and the plain per-probe and
+        # per-page paths run instead.  The differential fuzzer runs twin
+        # kernels in both modes and requires bit-identical traces, obs
+        # records, and schedules (simulated behaviour must not depend on
+        # the mode).
         self.vm.batch_paths = batch_paths
         self.fileio.batch_paths = batch_paths
         self.page_cache.batch_paths = batch_paths

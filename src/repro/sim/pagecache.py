@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.sim.cache.base import AnonKey, FileKey, MetaKey, PageEntry
+from repro.sim.cache.base import AnonKey, FileKey, MetaKey, PageEntry, PageKey
 from repro.sim.config import MachineConfig
 from repro.sim.disk import Disk
 from repro.sim.fs.ffs import FFS
@@ -187,31 +187,44 @@ class PageCacheManager:
         """Perform the page daemon's writebacks; returns the new time.
 
         Anonymous victims already have swap slots assigned; contiguous
-        slots become one clustered swap write.  Dirty file/meta pages are
-        written back to their home blocks, clustered where contiguous.
+        slots become one clustered swap write.  Then the dirty file/meta
+        victims, in victim order, go to their home blocks
+        (:meth:`_write_home`).
         """
         if not victims:
             return t
         swap_slots: List[int] = []
-        file_writes: Dict[int, List[int]] = {}
+        dirty: List[PageKey] = []
         for entry in victims:
             key = entry.key
             if isinstance(key, AnonKey):
                 slot = self.mm.swap.slot_of(key)
                 if slot is not None:
                     swap_slots.append(slot)
-            elif isinstance(key, FileKey) and entry.dirty:
+            elif entry.dirty:
+                dirty.append(key)
+        t = self.write_block_runs(self.swap_disk, swap_slots, t)
+        return self._write_home(dirty, t)
+
+    def _write_home(self, keys: Iterable[PageKey], t: int) -> int:
+        """Write file and metadata pages back to their home blocks.
+
+        The keys' blocks are grouped by file system, in the order each
+        file system first appears, and each group is written as
+        clustered runs.  A file page whose file or block is gone is
+        skipped.  Returns the new time.
+        """
+        writes: Dict[int, List[int]] = {}
+        for key in keys:
+            if isinstance(key, FileKey):
                 fs = self._fs_by_id.get(key.fs_id)
-                if fs is None:
-                    continue
-                inode = fs.inodes.get(key.ino)
+                inode = fs.inodes.get(key.ino) if fs else None
                 if inode is None or key.index >= len(inode.blocks):
                     continue
-                file_writes.setdefault(key.fs_id, []).append(inode.blocks[key.index])
-            elif isinstance(key, MetaKey) and entry.dirty:
-                file_writes.setdefault(key.fs_id, []).append(key.block)
-        t = self.write_block_runs(self.swap_disk, swap_slots, t)
-        for fs_id, blocks in file_writes.items():
+                writes.setdefault(key.fs_id, []).append(inode.blocks[key.index])
+            elif isinstance(key, MetaKey):
+                writes.setdefault(key.fs_id, []).append(key.block)
+        for fs_id, blocks in writes.items():
             t = self.write_block_runs(self._disk_of_fs[fs_id], blocks, t)
         return t
 
@@ -232,8 +245,9 @@ class PageCacheManager:
         """bdflush-style write throttling (charged to the writer).
 
         When dirty file pages exceed their share of memory, flush the
-        oldest down to the target and demote them so streaming writers
-        recycle their own pages instead of evicting read caches.
+        oldest down to the target through :meth:`_write_home` and demote
+        them so streaming writers recycle their own pages instead of
+        evicting read caches.
         """
         cfg = self.config
         mm = self.mm
@@ -242,16 +256,4 @@ class PageCacheManager:
         if mm.dirty_file_pages <= limit:
             return t
         target = int(capacity * cfg.dirty_flush_target_frac)
-        writes: Dict[int, List[int]] = {}
-        for key in mm.flush_oldest_dirty(mm.dirty_file_pages - target):
-            if isinstance(key, FileKey):
-                fs = self._fs_by_id.get(key.fs_id)
-                inode = fs.inodes.get(key.ino) if fs else None
-                if inode is None or key.index >= len(inode.blocks):
-                    continue
-                writes.setdefault(key.fs_id, []).append(inode.blocks[key.index])
-            elif isinstance(key, MetaKey):
-                writes.setdefault(key.fs_id, []).append(key.block)
-        for fs_id, blocks in writes.items():
-            t = self.write_block_runs(self._disk_of_fs[fs_id], blocks, t)
-        return t
+        return self._write_home(mm.flush_oldest_dirty(mm.dirty_file_pages - target), t)

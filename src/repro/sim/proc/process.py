@@ -39,8 +39,7 @@ class PipeBuffer:
 
     CAPACITY = 64 * 1024
 
-    def __init__(self, pipe_id: int) -> None:
-        self.pipe_id = pipe_id
+    def __init__(self) -> None:
         self.buffered = 0
         self.readers = 1
         self.writers = 1

@@ -45,7 +45,6 @@ class ProcLayer:
         self.scheduler = scheduler
         self.obs = obs
         self._next_pid = 1
-        self._next_pipe_id = 1
         # When each simulated CPU next falls idle (``compute``).
         self._cpu_free_at = [0] * config.cpus
 
@@ -157,15 +156,13 @@ class ProcLayer:
         The shell equivalent: create the pipe, then hand each end to a
         process with :meth:`share_pipe_end` before spawning it.
         """
-        pipe = PipeBuffer(self._next_pipe_id)
-        self._next_pipe_id += 1
+        pipe = PipeBuffer()
         pipe.readers = 0
         pipe.writers = 0
         return pipe
 
     def sys_pipe(self, process: Process):
-        pipe = PipeBuffer(self._next_pipe_id)
-        self._next_pipe_id += 1
+        pipe = PipeBuffer()
         r = process.new_fd("pipe_r", pipe=pipe)
         w = process.new_fd("pipe_w", pipe=pipe)
         return (r.fd, w.fd), self.config.syscall_overhead_ns

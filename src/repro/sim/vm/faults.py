@@ -126,11 +126,9 @@ class VMLayer:
     def sys_touch_range(self, process: Process, region_id: int, start_page: int, npages: int):
         """Touch pages in order; shares :meth:`_touch_run` with touch_batch.
 
-        Routing through the batch interior (rather than a bare
-        ``touch_one`` loop) gives touch_range the same resident fast
-        check and the same vectorized run path — it previously
-        re-walked the full per-page fault path at tens of
-        host-milliseconds per warm-up call.
+        Routing through the batch interior gives touch_range the same
+        vector run path as touch_batch; a run that does not qualify
+        touches page by page through :meth:`touch_one`.
         """
         if npages <= 0:
             raise InvalidArgument("touch_range needs a positive page count")
@@ -187,55 +185,38 @@ class VMLayer:
         Two paths, bit-identical in simulated time, pool state, obs
         records and injector schedule:
 
-        1. **Vector run** (:meth:`_vector_run`) — an in-bounds strided
-           run that is all resident, or a stride-1 run no page of which
-           was ever touched, with or without touch noise.
-        2. **Scalar loop** — everything else (mixed runs, swap-ins,
+        1. **Vector run** (:meth:`_vector_run`, on only with
+           ``batch_paths``) — an in-bounds strided run that is all
+           resident, or a stride-1 run no page of which was ever
+           touched, with or without touch noise.
+        2. **Per-page loop** — everything else (mixed runs, swap-ins,
            reclaim pressure, out-of-bounds runs, ``batch_paths=False``):
-           the resident fast check per page, ``touch_one`` for real
-           faults, noise and early-stop applied per touch.  It is the
-           reference the vector run is fuzzed against.
+           :meth:`touch_one` per page, which is what a sequence of
+           ``touch`` calls runs, with noise and early-stop applied per
+           touch.  It is the reference the vector run is fuzzed against.
         """
         t0 = self.clock.now
-        space = process.address_space
-        region = space.region(region_id)
-        last_index = start_page + ((npages - 1) // stride) * stride
-        in_bounds = 0 <= start_page and last_index < region.npages
-        base_page = region.base_page
-        if in_bounds and self.batch_paths:
-            run = self._vector_run(
-                process, base_page + start_page, (npages - 1) // stride + 1,
-                stride, threshold_ns, slow_count, slow_window,
-            )
-            if run is not None:
-                return run
+        if self.batch_paths:
+            region = process.address_space.region(region_id)
+            last_index = start_page + ((npages - 1) // stride) * stride
+            if 0 <= start_page and last_index < region.npages:
+                run = self._vector_run(
+                    process, region.base_page + start_page, (npages - 1) // stride + 1,
+                    stride, threshold_ns, slow_count, slow_window,
+                )
+                if run is not None:
+                    return run
 
-        cfg = self.config
-        mem_touch_ns = cfg.mem_touch_ns
-        pid = process.pid
         inject = self.inject
-        # The scalar loop.  Fast path for the resident case (MAC's
-        # verify loops re-touch pages that are overwhelmingly still
-        # resident): skip the per-page region lookup/bounds check
-        # — validated once for the whole strided range above — and the
-        # FaultResult allocation.  Any fault that needs real work falls
-        # back to ``touch_one``.
         t = t0
         times: List[int] = []
         append = times.append
         slow_marks: List[int] = []
         stopped = False
-        touched = space.touched
-        resident_touch = self.mm.anon_fault_resident
         for index in range(start_page, start_page + npages, stride):
             before = t
-            page = base_page + index
-            if in_bounds and page in touched and resident_touch(AnonKey(pid, page)):
-                t += mem_touch_ns
-                elapsed = mem_touch_ns
-            else:
-                t = self.touch_one(process, region_id, index, t)
-                elapsed = t - before
+            t = self.touch_one(process, region_id, index, t)
+            elapsed = t - before
             if inject is not None:
                 # Noise the touch before the early-stop predicate reads
                 # it, exactly as the sequential user-space loop would.

@@ -68,14 +68,23 @@ def _cache_fingerprint(kernel: Kernel, path: str):
 class TestPreadBatchEquivalence:
     PATH = "/mnt0/data"
 
-    def _setup(self, nbytes):
+    def _setup(self, nbytes, warm=()):
+        """A cold file of ``nbytes``, then one pread of each ``warm`` page."""
         def build(kernel):
             kernel.run_process(make_file(self.PATH, nbytes), "setup")
             kernel.oracle.flush_file_cache()
+
+            def warm_up():
+                fd = (yield sc.open(self.PATH)).value
+                for page in warm:
+                    yield sc.pread(fd, page * PAGE, 1)
+                yield sc.close(fd)
+            if warm:
+                kernel.run_process(warm_up(), "warm")
         return build
 
-    def _run_both(self, probes, nbytes=2 * MIB):
-        seq_kernel, batch_kernel = _twin_kernels(self._setup(nbytes))
+    def _run_both(self, probes, nbytes=2 * MIB, warm=()):
+        seq_kernel, batch_kernel = _twin_kernels(self._setup(nbytes, warm))
 
         def sequential():
             fd = (yield sc.open(self.PATH)).value
@@ -181,21 +190,42 @@ class TestPreadBatchEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_property_random_probe_lists(self, data):
-        """Any probe list: per-probe results and cache state identical."""
+        """Any probe list over a partly warm file: per-probe results,
+        cache state and atime identical."""
         size = data.draw(st.integers(min_value=1, max_value=64)) * PAGE
-        n = data.draw(st.integers(min_value=1, max_value=40))
-        probes = [
-            (
-                data.draw(st.integers(min_value=0, max_value=size + PAGE)),
-                data.draw(st.integers(min_value=0, max_value=3 * PAGE)),
-            )
-            for _ in range(n)
-        ]
-        seq, batch, total, k_seq, k_batch = self._run_both(probes, nbytes=size)
+        pages = range(size // PAGE)
+        warm = set(data.draw(st.lists(st.sampled_from(pages), max_size=len(pages))))
+        if data.draw(st.booleans()):
+            # The ICL shape: 8 or more single-page probes of one length,
+            # whose pages are sometimes all warm (the batch pre-pass).
+            length = data.draw(st.integers(min_value=1, max_value=PAGE))
+            probes = [
+                (page * PAGE + data.draw(st.integers(min_value=0, max_value=PAGE - length)),
+                 length)
+                for page in data.draw(st.lists(st.sampled_from(pages), min_size=8, max_size=40))
+            ]
+            if data.draw(st.booleans()):
+                warm.update(offset // PAGE for offset, _n in probes)
+        else:
+            n = data.draw(st.integers(min_value=1, max_value=40))
+            probes = [
+                (
+                    data.draw(st.integers(min_value=0, max_value=size + PAGE)),
+                    data.draw(st.integers(min_value=0, max_value=3 * PAGE)),
+                )
+                for _ in range(n)
+            ]
+        seq, batch, total, k_seq, k_batch = self._run_both(
+            probes, nbytes=size, warm=sorted(warm)
+        )
         assert seq == batch
         assert total == sum(e for _n, _d, e in batch)
         assert _cache_fingerprint(k_seq, self.PATH) == _cache_fingerprint(
             k_batch, self.PATH
+        )
+        assert (
+            k_seq.oracle.inode_of(self.PATH).atime
+            == k_batch.oracle.inode_of(self.PATH).atime
         )
 
 

@@ -26,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main
 from repro.experiments.channels import (
-    CHANNELS_SEED,
     channel_sweep,
     channels_config,
     render_channel_sweep,

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from repro.icl import gbp
-from repro.icl.compose import ComposedOrdering, compose_order
+from repro.icl.compose import compose_order
 from repro.icl.fccd import FCCD
 from repro.icl.fldc import FLDC
-from repro.sim import Kernel, syscalls as sc
+from repro.sim import syscalls as sc
 from repro.workloads.files import create_files
-from tests.conftest import KIB, MIB, small_config
+from tests.conftest import KIB, MIB
 
 
 def make_layers():

@@ -1,6 +1,5 @@
 """Property-based invariants of the disk service model."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.config import DiskSpec

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.figures import (
-    MIB,
     fig1_probe_correlation,
     fig2_single_file_scan,
     fig3_applications,

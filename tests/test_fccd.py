@@ -13,7 +13,7 @@ from repro.icl.fccd import (
 from repro.sim import Kernel, syscalls as sc
 from repro.toolbox.repository import ParameterRepository
 from repro.workloads.files import make_file
-from tests.conftest import KIB, MIB, small_config
+from tests.conftest import KIB, MIB
 
 
 @pytest.fixture

@@ -2,12 +2,10 @@
 
 import random
 
-import pytest
-
 from repro.icl.fccd import FCCD
-from repro.sim import Kernel, syscalls as sc
+from repro.sim import syscalls as sc
 from repro.workloads.files import make_file
-from tests.conftest import KIB, MIB, small_config
+from tests.conftest import KIB, MIB
 
 
 def make_layer(seed):

@@ -13,9 +13,11 @@ from repro.sim.errors import (
     InvalidArgument,
     NoSpace,
 )
+from repro.sim.fs.directory import DIRENT_BYTES
 from repro.sim.fs.ffs import FFS, ROOT_INO
 from repro.sim.fs.inode import FileKind
-from tests.conftest import KIB, MIB
+from repro.sim.fs.lfs import LogStructuredFS
+from tests.conftest import KIB, MIB, all_groups
 
 BLOCK = 4096
 
@@ -343,3 +345,76 @@ class TestNamespace:
             create_file(fs, f"file-with-a-long-name-{i:04d}", BLOCK)
         root = fs.get_inode(ROOT_INO)
         assert len(root.blocks) >= 2
+
+
+class TestNoSpaceChangesNothing:
+    """A create or rename that raises NoSpace leaves the file system
+    exactly as it was, on FFS and on the log-structured variant alike."""
+
+    @staticmethod
+    def full_fs(cls, subdir=False):
+        """3 groups of 32 data blocks; the disk is filled by one file
+        (after an optional subdirectory ``sub`` holding one file ``x``)."""
+        fs = cls(fs_id=0, total_blocks=3 * 64, block_bytes=BLOCK,
+                 blocks_per_cg=64, inodes_per_cg=1024)
+        if subdir:
+            sub = fs.create(ROOT_INO, "sub", FileKind.DIRECTORY, now_ns=0)
+            fs.create(sub.ino, "x", FileKind.FILE, now_ns=0)
+        create_file(fs, "filler", fs.free_blocks_total() * BLOCK)
+        assert fs.free_blocks_total() == 0
+        return fs
+
+    @staticmethod
+    def fill_root_block(fs):
+        """Create empty files until the root's one block is exactly full."""
+        for i in range(BLOCK // DIRENT_BYTES - 2 - len(fs.root)):
+            fs.create(ROOT_INO, f"f{i}", FileKind.FILE, now_ns=0)
+        assert fs.get_inode(ROOT_INO).size == BLOCK
+        assert len(fs.get_inode(ROOT_INO).blocks) == 1
+
+    @staticmethod
+    def snapshot(fs):
+        inodes = {
+            ino: (inode.kind, inode.size, inode.nlink, list(inode.blocks),
+                  inode.atime, inode.mtime, inode.ctime)
+            for ino, inode in fs.inodes.items()
+        }
+        directories = {
+            ino: (directory.parent_ino, list(directory.items()))
+            for ino, directory in fs.directories.items()
+        }
+        groups = [
+            (cg.free_block_count, cg.free_inode_count, cg.rotor, bytes(cg._bitmap))
+            for cg in all_groups(fs)
+        ]
+        return inodes, directories, fs.free_blocks_total(), groups, getattr(fs, "_log_head", None)
+
+    @pytest.mark.parametrize("cls", [FFS, LogStructuredFS])
+    def test_mkdir_on_full_disk(self, cls):
+        fs = self.full_fs(cls)
+        before = self.snapshot(fs)
+        with pytest.raises(NoSpace):
+            fs.create(ROOT_INO, "d", FileKind.DIRECTORY, now_ns=1)
+        assert self.snapshot(fs) == before
+
+    @pytest.mark.parametrize("cls", [FFS, LogStructuredFS])
+    def test_file_create_that_must_grow_its_parent(self, cls):
+        fs = self.full_fs(cls)
+        self.fill_root_block(fs)
+        before = self.snapshot(fs)
+        with pytest.raises(NoSpace):
+            fs.create(ROOT_INO, "one-too-many", FileKind.FILE, now_ns=1)
+        assert self.snapshot(fs) == before
+
+    @pytest.mark.parametrize("cls", [FFS, LogStructuredFS])
+    def test_rename_into_a_directory_that_must_grow(self, cls):
+        fs = self.full_fs(cls, subdir=True)
+        self.fill_root_block(fs)
+        sub = fs.root.lookup("sub")
+        before = self.snapshot(fs)
+        with pytest.raises(NoSpace):
+            fs.rename(sub, "x", ROOT_INO, "y", now_ns=1)
+        assert self.snapshot(fs) == before
+        # A rename within the full directory needs no block.
+        fs.rename(ROOT_INO, "f0", ROOT_INO, "g0", now_ns=1)
+        assert fs.root.contains("g0")

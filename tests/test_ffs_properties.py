@@ -1,11 +1,11 @@
 """Property-based FFS invariants under random namespace churn."""
 
-import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.errors import DirectoryNotEmpty, FileExists, NoSpace, SimOSError
+from repro.sim.errors import DirectoryNotEmpty, FileExists, NoSpace
 from repro.sim.fs.ffs import FFS, ROOT_INO
 from repro.sim.fs.inode import FileKind
 from repro.sim.fs.lfs import LogStructuredFS
@@ -158,6 +158,10 @@ def check_allocator_state(fs: FFS):
         reserved = 1 if cg.index == 0 else 0
         assert cg.free_inode_count == fs.inodes_per_cg - live - reserved, cg.index
     assert fs.free_blocks_total() == sum(cg.free_block_count for cg in all_groups(fs))
+    named = Counter(ino for directory in fs.directories.values() for _n, ino in directory.items())
+    for ino, inode in fs.inodes.items():
+        assert ino == ROOT_INO or named[ino] == 1, (ino, named[ino])
+        assert -(-inode.size // fs.block_bytes) <= len(inode.blocks), (ino, inode.size)
 
 
 def apply_namespace_ops(fs: FFS, ops):
@@ -214,9 +218,15 @@ def apply_namespace_ops(fs: FFS, ops):
             check_allocator_state(fs)
 
 
+#: One file takes every free block (more than the drawn sizes reach),
+#: so the mkdir that follows runs out of blocks inside ``create``.
+_MKDIR_ON_FULL_DISK = [("file", 0, 0, 1019), ("dir", 0, 1, 0)]
+
+
 @pytest.mark.parametrize("cls", [FFS, LogStructuredFS])
 @settings(max_examples=60, deadline=None)
 @given(ops=namespace_ops)
+@example(ops=_MKDIR_ON_FULL_DISK)
 def test_creates_take_lowest_free_inumber_of_their_group(cls, ops):
     fs = cls(
         fs_id=0, total_blocks=1024, block_bytes=BLOCK,
@@ -284,8 +294,6 @@ def drive_twin(fs: FFS, ops):
                     added = fs.grow_to_size(inode, (len(inode.blocks) + nblocks) * BLOCK)
                     log.append((op, inode.ino, added))
             else:
-                # Linked entries only: a create that hit NoSpace may
-                # leave an inode no directory names.
                 is_dir = op == "rmdir"
                 victims = sorted(
                     (directory.lookup(name), parent, name)

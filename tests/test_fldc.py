@@ -5,9 +5,9 @@ import random
 import pytest
 
 from repro.icl.fldc import FLDC
-from repro.sim import Kernel, syscalls as sc
+from repro.sim import syscalls as sc
 from repro.workloads.files import age_directory, create_files, make_file
-from tests.conftest import KIB, MIB, small_config
+from tests.conftest import KIB
 
 
 @pytest.fixture

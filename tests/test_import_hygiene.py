@@ -1,11 +1,12 @@
-"""Keep ``src/repro`` clean of unused/duplicate imports, and standard-library only.
+"""Keep the repository clean of unused/duplicate imports, and ``repro`` standard-library only.
 
 CI runs the real ``ruff check`` + ``mypy`` on ``src/repro/sim`` (lint
 job); this test runs the offline subset in ``tools/lint_imports.py`` over
-the whole package so the same class of violation fails fast in
-environments without the linters installed.  A second test runs the
-package in a fresh interpreter and checks that it loads nothing outside
-the standard library, and no process pool on a serial run.
+the package, the tools, the benchmarks, the tests and the examples, so
+the same class of violation fails fast in environments without the
+linters installed.  A second test runs the package in a fresh
+interpreter and checks that it loads nothing outside the standard
+library, and no process pool on a serial run.
 """
 
 import json
@@ -22,11 +23,49 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 from lint_imports import check_file  # noqa: E402
 
 
+#: The trees CI's "Import hygiene" step checks.
+HYGIENE_ROOTS = ("src/repro", "tools", "benchmarks", "tests", "examples")
+
+
 def test_package_import_hygiene():
     findings = []
-    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
-        findings.extend(check_file(path))
+    for root in HYGIENE_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            findings.extend(check_file(path))
     assert not findings, "\n".join(findings)
+
+
+def _findings(tmp_path, source):
+    path = tmp_path / "sample.py"
+    path.write_text(source)
+    return [finding.split(": ", 1)[1] for finding in check_file(path)]
+
+
+def test_redefinition_is_checked_one_scope_at_a_time(tmp_path):
+    """The same name imported in two functions is two bindings; imported
+    twice in one function (or module) body, the second redefines it."""
+    assert _findings(tmp_path, (
+        "def a():\n    import json\n    return json\n\n"
+        "def b():\n    import json\n    return json\n"
+    )) == []
+    assert _findings(tmp_path, (
+        "def a():\n    import json\n    import json\n    return json\n"
+    )) == ["F811 redefinition of imported 'json' (first at line 2)"]
+    assert _findings(tmp_path, (
+        "from os import path\nfrom os import path\n\n"
+        "def a():\n    return path\n"
+    )) == ["F811 redefinition of imported 'path' (first at line 1)"]
+
+
+def test_submodule_imports_are_distinct(tmp_path):
+    """``import a.b`` beside ``import a.c`` imports two modules; the same
+    dotted import twice is a redefinition."""
+    assert _findings(tmp_path, (
+        "import xml.dom\nimport xml.sax\n\nprint(xml)\n"
+    )) == []
+    assert _findings(tmp_path, (
+        "import os.path\nimport os.path\n\nprint(os)\n"
+    )) == ["F811 redefinition of imported 'os' (first at line 1)"]
 
 
 # The subprocess records the modules its interpreter started with (site

@@ -2,13 +2,11 @@
 
 import random
 
-import pytest
-
 from repro.icl.compose import compose_order
 from repro.icl.fccd import FCCD
 from repro.icl.fldc import FLDC
 from repro.icl.mac import MAC
-from repro.sim import Kernel, MachineConfig, syscalls as sc
+from repro.sim import Kernel, syscalls as sc
 from repro.workloads.files import create_files, make_file
 from tests.conftest import KIB, MIB, small_config
 

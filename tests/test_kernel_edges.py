@@ -1,7 +1,5 @@
 """Kernel corner cases not covered elsewhere."""
 
-import pytest
-
 from repro.sim import Kernel, syscalls as sc
 from repro.sim.errors import InvalidArgument
 from tests.conftest import KIB, MIB, small_config

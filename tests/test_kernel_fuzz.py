@@ -33,6 +33,7 @@ from repro.sim.cache.base import AnonKey, FileKey, MetaKey
 from repro.sim.config import linux22, netbsd15, solaris7
 from repro.sim.errors import OutOfMemory, SimOSError
 from repro.sim.inject import horizon_after
+from repro.sim.vm.faults import VMLayer
 from repro.sim.vm.physmem import MemoryManager
 from tests.conftest import KIB, MIB, all_groups, small_config
 
@@ -553,6 +554,35 @@ def test_differential_batch_vs_scalar_paths(noisy):
     # The thresholded batches must actually trip the predicate, or the
     # comparison above says nothing about it.
     assert stops >= 30, f"only {stops} early stops in 30 workouts"
+
+
+#: The batch tiers ``batch_paths`` gates: the pread_batch pre-pass, the
+#: page-run fills and writes, and the touch vector run.
+_BATCH_TIERS = [
+    (MemoryManager, "touch_file_pages_resident"),
+    (MemoryManager, "touch_file_run"),
+    (VMLayer, "_vector_run"),
+]
+
+
+def test_reference_mode_runs_no_batch_tier(monkeypatch):
+    """The differential tests trust ``batch_paths=False`` as the plain
+    per-probe reference: ``vector_workout`` reaches every batch tier on
+    the default kernel, and none of them on the reference kernel."""
+    calls = {name: 0 for _owner, name in _BATCH_TIERS}
+    for owner, name in _BATCH_TIERS:
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    Kernel(small_config()).run_process(vector_workout(0x7EC, 30), "vw")
+    assert all(calls.values()), calls
+
+    def tier_ran(*_args, **_kwargs):
+        raise AssertionError("a batch tier ran under batch_paths=False")
+    for owner, name in _BATCH_TIERS:
+        monkeypatch.setattr(owner, name, tier_ran)
+    Kernel(small_config(), batch_paths=False).run_process(vector_workout(0x7EC, 30), "vw")
 
 
 def pressure_workout(seed: int, steps: int, page: int, file_pages: int):

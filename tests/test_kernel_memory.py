@@ -1,7 +1,5 @@
 """Kernel memory syscalls: faults, timing, pressure, swap."""
 
-import pytest
-
 from repro.sim import Kernel, syscalls as sc
 from repro.sim.errors import InvalidArgument
 from tests.conftest import KIB, MIB, small_config

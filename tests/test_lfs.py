@@ -11,7 +11,7 @@ from repro.sim.fs.ffs import ROOT_INO, FFS
 from repro.sim.fs.inode import FileKind
 from repro.sim.fs.lfs import LogStructuredFS
 from repro.workloads.files import make_file
-from tests.conftest import KIB, MIB, small_config
+from tests.conftest import KIB, small_config
 
 SECOND = 1_000_000_000
 

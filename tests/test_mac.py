@@ -5,7 +5,7 @@ import pytest
 from repro.icl.mac import MAC, GbAllocation
 from repro.sim import Kernel, syscalls as sc
 from repro.toolbox.repository import ParameterRepository
-from tests.conftest import KIB, MIB, small_config
+from tests.conftest import MIB, small_config
 
 
 def make_mac(kernel, **overrides):

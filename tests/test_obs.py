@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.experiments.observe import observe_config, observe_figure
+from repro.experiments.observe import observe_figure
 from repro.experiments.runner import TrialSpec, configuration, drain_stats, run_trials
 from repro.obs import DISABLED, Observability, capture_metrics, merge_samples
 from repro.icl.fccd import FCCD

@@ -1,8 +1,6 @@
 """Platform-personality behaviours the paper observed, at unit scale."""
 
-import pytest
-
-from repro.sim import Kernel, MachineConfig, linux22, netbsd15, solaris7
+from repro.sim import Kernel, linux22, netbsd15, solaris7
 from repro.sim import syscalls as sc
 from repro.workloads.files import make_file
 from tests.conftest import KIB, MIB, small_config

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.sim.cache.base import FileKey
 from repro.sim.cache.lru import LRUPolicy
 from repro.sim.errors import BadFileDescriptor
-from repro.sim.proc.process import OpenFile, PipeBuffer, Process, ProcessState
+from repro.sim.proc.process import PipeBuffer, Process
 from repro.sim.proc.scheduler import COMPACT_MIN_ENTRIES, Scheduler
 
 
@@ -43,13 +43,13 @@ class TestProcess:
 
 class TestPipeBuffer:
     def test_space_accounting(self):
-        pipe = PipeBuffer(1)
+        pipe = PipeBuffer()
         assert pipe.space == PipeBuffer.CAPACITY
         pipe.buffered = 100
         assert pipe.space == PipeBuffer.CAPACITY - 100
 
     def test_closed_flags(self):
-        pipe = PipeBuffer(1)
+        pipe = PipeBuffer()
         assert not pipe.write_closed and not pipe.read_closed
         pipe.writers = 0
         pipe.readers = 0

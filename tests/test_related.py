@@ -7,7 +7,7 @@ import pytest
 from repro.related import PRIOR_SYSTEMS
 from repro.related.coscheduling import CoschedConfig, simulate_coscheduling
 from repro.related.manners import MannersConfig, simulate_manners
-from repro.related.tcp import NetworkPath, TcpResult, simulate_tcp
+from repro.related.tcp import NetworkPath, simulate_tcp
 
 
 class TestTcp:

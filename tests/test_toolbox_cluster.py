@@ -1,7 +1,5 @@
 """Two-means clustering: exactness and degenerate handling."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

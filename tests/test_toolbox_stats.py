@@ -1,6 +1,5 @@
 """Statistics routines, with hypothesis checks against the stdlib."""
 
-import math
 import statistics
 
 import pytest

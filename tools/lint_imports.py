@@ -7,11 +7,13 @@ walks the given packages and reports:
 
 * imports never referenced in the module (F401) — names exported via
   ``__all__`` or re-exported with ``import x as x`` are exempt;
-* the same name imported twice in one module scope (F811).
+* the same name imported twice in one scope — the module, or one
+  function or class body (F811).  ``import a.b`` beside ``import a.c``
+  imports two modules and is not a redefinition.
 
 Usage::
 
-    python tools/lint_imports.py src/repro/sim [more paths...]
+    python tools/lint_imports.py src/repro tools benchmarks tests examples
 
 Exits non-zero if any finding is reported.
 """
@@ -21,26 +23,50 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Tuple, Union
 
 
-def _imported_names(tree: ast.Module) -> List[Tuple[str, int, bool]]:
-    """(bound_name, lineno, is_explicit_reexport) for every module-level import."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                reexport = alias.asname is not None and alias.asname == alias.name
-                found.append((bound, node.lineno, reexport))
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name
-                reexport = alias.asname is not None and alias.asname == alias.name
-                found.append((bound, node.lineno, reexport))
-    return found
+#: Nodes that open a new scope: their bodies' imports bind there.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+ImportNode = Union[ast.Import, ast.ImportFrom]
+
+
+def _scope_imports(scope: ast.AST) -> Iterator[List[ImportNode]]:
+    """The import statements of ``scope``, then of every scope inside it,
+    each in source order."""
+    imports: List[ImportNode] = []
+    inner: List[ast.AST] = []
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, _SCOPES):
+            inner.append(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.append(node)
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+    yield sorted(imports, key=lambda node: node.lineno)
+    for node in sorted(inner, key=lambda node: node.lineno):
+        yield from _scope_imports(node)
+
+
+def _bindings(node: ImportNode) -> Iterator[Tuple[str, str, bool]]:
+    """(what, bound_name, is_explicit_reexport) per alias of one import.
+
+    ``what`` names what is imported: ``import a.b`` and ``import a.c``
+    both bind ``a`` but import two modules, so neither redefines the
+    other.
+    """
+    for alias in node.names:
+        if alias.name == "*":
+            continue
+        reexport = alias.asname is not None and alias.asname == alias.name
+        if isinstance(node, ast.Import) and alias.asname is None:
+            yield alias.name, alias.name.split(".")[0], reexport
+        else:
+            bound = alias.asname or alias.name
+            yield bound, bound, reexport
 
 
 def _used_names(tree: ast.Module) -> set:
@@ -79,18 +105,20 @@ def _exported(tree: ast.Module) -> set:
 
 def check_file(path: Path) -> Iterator[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
-    imports = _imported_names(tree)
     used = _used_names(tree)
     exported = _exported(tree)
-    seen = {}
-    for name, lineno, reexport in imports:
-        if name in seen and lineno != seen[name]:
-            yield f"{path}:{lineno}: F811 redefinition of imported {name!r} (first at line {seen[name]})"
-        seen.setdefault(name, lineno)
-        if reexport or name in exported or name == "annotations":
-            continue
-        if name not in used:
-            yield f"{path}:{lineno}: F401 {name!r} imported but unused"
+    for imports in _scope_imports(tree):
+        seen = {}
+        for node in imports:
+            for what, name, reexport in _bindings(node):
+                first = seen.setdefault(what, node.lineno)
+                if first != node.lineno:
+                    yield (f"{path}:{node.lineno}: F811 redefinition of imported "
+                           f"{name!r} (first at line {first})")
+                if reexport or name in exported or name == "annotations":
+                    continue
+                if name not in used:
+                    yield f"{path}:{node.lineno}: F401 {name!r} imported but unused"
 
 
 def main(argv: List[str]) -> int:
